@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -260,6 +262,48 @@ def test_generate_dataset_batched_matches_single():
         prompt = next(p for p in prompts if p.caption_id == man.caption_ids[row])
         single = ddim_sample(prompt, int(man.latent_seeds[row]), cfg)
         np.testing.assert_array_equal(man.features[row], single.feature)
+
+    # mixed w, including w=1 rows that skip the unconditional term
+    mixed = generate_dataset(prompts, 5, cfg, seed=12, guidance_scales=[1.0, 2.5, 7.0])
+    assert set(mixed.guidance_scales.tolist()) == {1.0, 2.5, 7.0}
+    for row in range(mixed.num_samples):
+        prompt = next(p for p in prompts if p.caption_id == mixed.caption_ids[row])
+        w = float(mixed.guidance_scales[row])
+        single = ddim_sample(prompt, int(mixed.latent_seeds[row]), cfg, guidance_scale=w)
+        np.testing.assert_array_equal(mixed.features[row], single.feature)
+
+
+# sha256 over features, latent_seeds and guidance_scales of a 6-caption x 4-image
+# dataset (d=32, K=10, 10 DDIM steps, seed 17). Recorded with numpy 2.4 on
+# x86-64; a numpy build whose exp() rounds differently would need new values.
+GOLDEN_BITS = {
+    "w1": "dd3496fed483ab441164492c7de71f2e606f40b37a47104eb7222eebb448bcf1",
+    "w4": "2b13d308cb3cdce6fc719d842fa9aafdc13cbb9af51b9838b32d3cd97a35781f",
+    "mixed": "479270d30635420bc7989c0d8e78d197256e2752fe6a25821740ae38cc2fbc93",
+    "mixed_with_w1": "bd6f03cd8cd0cc7074d4700765cd0c354f32afb5b0e3fa752147d5ebd0b601b8",
+    "direct": "609d6da5cfc0aa4949bac5695368c677c59d55fd1ff7adec19d2cbac05ccf3db",
+}
+
+
+@pytest.mark.parametrize(
+    "mode,cfg_kw,gen_kw",
+    [
+        ("w1", {"guidance_scale": 1.0}, {}),
+        ("w4", {"guidance_scale": 4.0}, {}),
+        # the CLI's "mixed" guidance group
+        ("mixed", {}, {"guidance_scales": [2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0]}),
+        ("mixed_with_w1", {}, {"guidance_scales": [1.0, 3.0]}),
+        ("direct", {}, {"sampler": "direct"}),
+    ],
+)
+def test_generate_dataset_golden_bits(mode, cfg_kw, gen_kw):
+    cfg = GeneratorConfig(feature_dim=32, num_classes=10, ddim_steps=10, **cfg_kw)
+    prompts = [prompt_from_text(i, f"golden caption {i}", 10) for i in range(6)]
+    man = generate_dataset(prompts, 4, cfg, seed=17, **gen_kw)
+    h = hashlib.sha256()
+    for arr in (man.features, man.latent_seeds, man.guidance_scales):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == GOLDEN_BITS[mode]
 
 
 def test_generate_dataset_guidance_set_frequencies():
