@@ -46,7 +46,6 @@ from .generator import (
     caption_to_component,
     cfg_epsilon,
     class_center,
-    conditional_sample,
     ddim_sample,
     epsilon_cond,
     epsilon_uncond,
@@ -100,7 +99,6 @@ __all__ = [
     "caption_to_component",
     "cfg_epsilon",
     "class_center",
-    "conditional_sample",
     "ddim_sample",
     "epsilon_cond",
     "epsilon_uncond",

@@ -41,7 +41,6 @@ __all__ = [
     "epsilon_cond",
     "epsilon_uncond",
     "cfg_epsilon",
-    "conditional_sample",
     "ddim_sample",
     "generate_dataset",
 ]
@@ -194,10 +193,58 @@ def caption_to_component(
     return mean, prompt.class_id
 
 
+def _class_centers(cfg: GeneratorConfig) -> np.ndarray:
+    """All K class centers stacked as a (K, d) array."""
+    return np.stack([class_center(k, cfg) for k in range(cfg.num_classes)])
+
+
 def _level(cfg: GeneratorConfig, index: int) -> tuple[float, float]:
     if not 0 <= index < len(cfg.schedule):
         raise IndexError(f"schedule index {index} out of range [0, {len(cfg.schedule)})")
-    return float(cfg.schedule.alphas[index]), float(cfg.schedule.sigmas[index])
+    alpha, sigma = float(cfg.schedule.alphas[index]), float(cfg.schedule.sigmas[index])
+    if sigma == 0.0:
+        raise ZeroDivisionError("sigma = 0 at the clean endpoint")
+    return alpha, sigma
+
+
+# -- noise-prediction kernels. Each formula has this one implementation; the
+# public per-sample functions and the whole-dataset trajectory all call it.
+
+
+def _cond_eps(
+    z: np.ndarray, mean: np.ndarray, alpha: float, sigma: float, cfg: GeneratorConfig
+) -> np.ndarray:
+    var = cfg.conditional_std**2
+    total = alpha**2 * var + sigma**2
+    m = mean + (alpha * var / total) * (z - alpha * mean)
+    return (z - alpha * m) / sigma
+
+
+def _mixture_eps(
+    z: np.ndarray, centers: np.ndarray, alpha: float, sigma: float, cfg: GeneratorConfig
+) -> np.ndarray:
+    var = cfg.conditional_std**2 + cfg.caption_offset_scale**2
+    total = alpha**2 * var + sigma**2
+    # one (..., K, d) buffer serves every step below: the squared distances,
+    # then z - alpha * centers again, then the weighted posterior means
+    scaled = alpha * centers
+    diff = z[..., None, :] - scaled
+    np.square(diff, out=diff)
+    logits = -0.5 * np.sum(diff, axis=-1) / total  # (..., K)
+    logits -= np.max(logits, axis=-1, keepdims=True)
+    resp = np.exp(logits)
+    resp /= np.sum(resp, axis=-1, keepdims=True)
+
+    np.subtract(z[..., None, :], scaled, out=diff)
+    diff *= alpha * var / total
+    diff += centers
+    diff *= resp[..., :, None]
+    m = np.sum(diff, axis=-2)  # (..., d)
+    return (z - alpha * m) / sigma
+
+
+def _blend(w, eps_c: np.ndarray, eps_u: np.ndarray) -> np.ndarray:
+    return w * eps_c + (1.0 - w) * eps_u
 
 
 def epsilon_cond(
@@ -214,18 +261,11 @@ def epsilon_cond(
     leading batch shape over the last (feature) axis.
     """
     alpha, sigma = _level(cfg, level_index)
-    if sigma == 0.0:
-        raise ZeroDivisionError("sigma = 0 at the clean endpoint")
     mu, _ = caption_to_component(prompt, cfg)
-    var = cfg.conditional_std**2
-    total = alpha**2 * var + sigma**2
-    m = mu + (alpha * var / total) * (z - alpha * mu)
-    return (z - alpha * m) / sigma
+    return _cond_eps(z, mu, alpha, sigma, cfg)
 
 
-def epsilon_uncond(
-    z: np.ndarray, level_index: int, cfg: GeneratorConfig
-) -> np.ndarray:
+def epsilon_uncond(z: np.ndarray, level_index: int, cfg: GeneratorConfig) -> np.ndarray:
     """Exact unconditional noise prediction for the class-level mixture.
 
     Marginalizing captions within a class inflates the component variance to
@@ -234,24 +274,7 @@ def epsilon_uncond(
     posterior mean pushed through the same eps conversion as epsilon_cond.
     """
     alpha, sigma = _level(cfg, level_index)
-    if sigma == 0.0:
-        raise ZeroDivisionError("sigma = 0 at the clean endpoint")
-    centers = np.stack(
-        [class_center(k, cfg) for k in range(cfg.num_classes)]
-    )  # (K, d)
-    var = cfg.conditional_std**2 + cfg.caption_offset_scale**2
-    total = alpha**2 * var + sigma**2
-
-    z = np.asarray(z, dtype=float)
-    diff = z[..., None, :] - alpha * centers  # (..., K, d)
-    logits = -0.5 * np.sum(diff**2, axis=-1) / total  # (..., K)
-    logits -= np.max(logits, axis=-1, keepdims=True)
-    resp = np.exp(logits)
-    resp /= np.sum(resp, axis=-1, keepdims=True)
-
-    post_means = centers + (alpha * var / total) * diff  # (..., K, d)
-    m = np.sum(resp[..., :, None] * post_means, axis=-2)  # (..., d)
-    return (z - alpha * m) / sigma
+    return _mixture_eps(np.asarray(z, dtype=float), _class_centers(cfg), alpha, sigma, cfg)
 
 
 def cfg_epsilon(
@@ -266,8 +289,11 @@ def cfg_epsilon(
     eps_c = epsilon_cond(z, level_index, prompt, cfg)
     if w == 1.0:
         return eps_c
-    eps_u = epsilon_uncond(z, level_index, cfg)
-    return w * eps_c + (1.0 - w) * eps_u
+    return _blend(w, eps_c, epsilon_uncond(z, level_index, cfg))
+
+
+# guided rows per mixture evaluation: bounds the (rows, K, d) temporaries
+_MIXTURE_ROWS = 128
 
 
 class SamplerNumericsError(RuntimeError):
@@ -275,43 +301,38 @@ class SamplerNumericsError(RuntimeError):
 
 
 def _ddim_trajectory(
-    z0: np.ndarray, prompt: PromptSpec, cfg: GeneratorConfig, guidance_scale: float
+    z0: np.ndarray, means: np.ndarray, w: np.ndarray, centers: np.ndarray, cfg: GeneratorConfig
 ) -> np.ndarray:
-    """Run the deterministic reverse updates on a batch of initial latents.
+    """Run the deterministic reverse updates on a stack of initial latents.
 
-    At each level: x_hat = (z - sigma * eps) / alpha, then
+    Row r of z0 (N, d) is guided toward its caption mean means[r] with scale
+    w[r] (an (N, 1) column); rows with w == 1 use the conditional prediction
+    alone, the others blend in the mixture over `centers` (K, d). At each
+    level: x_hat = (z - sigma * eps) / alpha, then
     z <- alpha' * x_hat + sigma' * eps. Returns the final x_hat. All updates
-    are elementwise, so batched and single-sample runs are bit-identical.
+    are elementwise or per-row reductions, so any stack of rows gives the
+    same bits as sampling each row alone.
     """
-    alphas, sigmas = cfg.schedule.alphas, cfg.schedule.sigmas
     steps = len(cfg.schedule)
-    z = np.asarray(z0, dtype=float)
+    guided = np.flatnonzero(w[:, 0] != 1.0)
+    blocks = [guided[lo : lo + _MIXTURE_ROWS] for lo in range(0, guided.size, _MIXTURE_ROWS)]
+    z = z0
     # overflow here is not a warning condition: it surfaces as a non-finite
     # intermediate and raises with the offending step index
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            eps = cfg_epsilon(z, i, prompt, cfg, guidance_scale)
-            x_hat = (z - sigmas[i] * eps) / alphas[i]
+            alpha, sigma = _level(cfg, i)
+            eps = _cond_eps(z, means, alpha, sigma, cfg)
+            for rows in blocks:
+                eps_u = _mixture_eps(z[rows], centers, alpha, sigma, cfg)
+                eps[rows] = _blend(w[rows], eps[rows], eps_u)
+            x_hat = (z - sigma * eps) / alpha
             if not np.all(np.isfinite(x_hat)):
                 raise SamplerNumericsError(f"non-finite intermediate at step {i}")
             if i + 1 < steps:
-                z = alphas[i + 1] * x_hat + sigmas[i + 1] * eps
+                alpha_next, sigma_next = _level(cfg, i + 1)
+                z = alpha_next * x_hat + sigma_next * eps
     return x_hat
-
-
-def conditional_sample(
-    prompt: PromptSpec, count: int, cfg: GeneratorConfig, seed: int
-) -> np.ndarray:
-    """Exact draws from the caption's component N(mu, sigma_c^2 I).
-
-    This is the ground-truth data distribution, free of sampler bias; it
-    stands in for "real" data when evaluating representations.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    mu, _ = caption_to_component(prompt, cfg)
-    rng = rng_from(seed)
-    return mu + cfg.conditional_std * rng.standard_normal((count, cfg.feature_dim))
 
 
 def ddim_sample(
@@ -321,14 +342,15 @@ def ddim_sample(
     guidance_scale: float | None = None,
 ) -> SyntheticSample:
     """Generate one sample; bit-identical for identical (prompt, seed, cfg)."""
-    w = cfg.guidance_scale if guidance_scale is None else guidance_scale
+    w = float(cfg.guidance_scale if guidance_scale is None else guidance_scale)
     z0 = rng_from(latent_seed).standard_normal(cfg.feature_dim)
-    x = _ddim_trajectory(z0[None, :], prompt, cfg, w)[0]
+    mu, _ = caption_to_component(prompt, cfg)
+    x = _ddim_trajectory(z0[None], mu[None], np.array([[w]]), _class_centers(cfg), cfg)[0]
     return SyntheticSample(
         caption_id=prompt.caption_id,
         feature=x,
         latent_seed=int(latent_seed),
-        guidance_scale=float(w),
+        guidance_scale=w,
     )
 
 
@@ -348,7 +370,8 @@ def generate_dataset(
     seeded uniform choice from that set (recorded per sample); otherwise
     cfg.guidance_scale applies to all samples. sampler="direct" draws from
     the exact conditional distribution instead of running the sampler,
-    which is useful as held-out evaluation data.
+    which is useful as held-out evaluation data. The DDIM sampler runs one
+    trajectory over all rows at once.
 
     Returns a DatasetManifest.
     """
@@ -368,60 +391,36 @@ def generate_dataset(
         raise ValueError("guidance_scales must be non-empty when given")
 
     l = images_per_caption
-    n_total = len(captions) * l
-    features = np.empty((n_total, cfg.feature_dim))
-    caption_ids = np.empty(n_total, dtype=np.int64)
-    class_ids = np.empty(n_total, dtype=np.int64)
-    prompt_seeds = np.empty(n_total, dtype=np.uint64)
-    latent_seeds = np.empty(n_total, dtype=np.uint64)
-    sample_w = np.empty(n_total)
-
-    row = 0
+    latent_seeds = []
     for prompt in captions:
         seeds = [derive_u64(seed, SALT_LATENT, prompt.caption_id, j) for j in range(l)]
         if len(set(seeds)) != l:
             raise RuntimeError("latent seed collision within a caption")
-        if guidance_scales is None:
-            ws = np.full(l, float(cfg.guidance_scale))
-        else:
-            ws = np.array(
-                [
-                    guidance_scales[
-                        int(
-                            rng_from(seed, SALT_GUIDANCE, prompt.caption_id, j).integers(
-                                len(guidance_scales)
-                            )
-                        )
-                    ]
-                    for j in range(l)
-                ]
-            )
-        z0 = np.stack([rng_from(s).standard_normal(cfg.feature_dim) for s in seeds])
-        if sampler == "direct":
-            mu, _ = caption_to_component(prompt, cfg)
-            x = mu + cfg.conditional_std * z0
-        else:
-            # batch the trajectory per distinct guidance value
-            x = np.empty_like(z0)
-            for w in sorted(set(ws.tolist())):
-                sel = ws == w
-                x[sel] = _ddim_trajectory(z0[sel], prompt, cfg, w)
-        stop = row + l
-        features[row:stop] = x
-        caption_ids[row:stop] = prompt.caption_id
-        class_ids[row:stop] = prompt.class_id
-        prompt_seeds[row:stop] = prompt.prompt_seed
-        latent_seeds[row:stop] = np.array(seeds, dtype=np.uint64)
-        sample_w[row:stop] = ws
-        row = stop
+        latent_seeds.extend(seeds)
+    if guidance_scales is None:
+        sample_w = np.full(len(latent_seeds), float(cfg.guidance_scale))
+    else:
+        picks = [
+            rng_from(seed, SALT_GUIDANCE, p.caption_id, j).integers(len(guidance_scales))
+            for p in captions
+            for j in range(l)
+        ]
+        sample_w = np.array([guidance_scales[int(k)] for k in picks], dtype=float)
+
+    z0 = np.stack([rng_from(s).standard_normal(cfg.feature_dim) for s in latent_seeds])
+    means = np.repeat([caption_to_component(p, cfg)[0] for p in captions], l, axis=0)
+    if sampler == "direct":
+        features = means + cfg.conditional_std * z0
+    else:
+        features = _ddim_trajectory(z0, means, sample_w[:, None], _class_centers(cfg), cfg)
 
     return DatasetManifest(
         config=cfg,
         master_seed=int(seed),
-        caption_ids=caption_ids,
-        class_ids=class_ids,
-        prompt_seeds=prompt_seeds,
-        latent_seeds=latent_seeds,
+        caption_ids=np.repeat(np.array(ids, dtype=np.int64), l),
+        class_ids=np.repeat(np.array([p.class_id for p in captions], dtype=np.int64), l),
+        prompt_seeds=np.repeat(np.array([p.prompt_seed for p in captions], dtype=np.uint64), l),
+        latent_seeds=np.array(latent_seeds, dtype=np.uint64),
         guidance_scales=sample_w,
         features=features,
         sampler=sampler,

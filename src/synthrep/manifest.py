@@ -157,51 +157,65 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_field(header: dict, name: str, convert, path: str):
+    try:
+        return convert(header[name])
+    except KeyError:
+        raise ValueError(f"{path}: header has no field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: header field {name!r} is invalid: {exc}") from None
+
+
 def read_manifest(path: str) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty manifest")
     header = json.loads(lines[0])
-    if header.get("kind") != _KIND:
+    if not isinstance(header, dict) or header.get("kind") != _KIND:
         raise ValueError(f"{path}: not a {_KIND} file")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    cfg = GeneratorConfig.from_dict(header["config"])
-    n = int(header["num_samples"])
+    cfg = _header_field(header, "config", GeneratorConfig.from_dict, path)
+    n = _header_field(header, "num_samples", int, path)
+    master_seed = _header_field(header, "master_seed", int, path)
     records = lines[1:]
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
 
-    caption_ids = np.empty(n, dtype=np.int64)
-    class_ids = np.empty(n, dtype=np.int64)
-    prompt_seeds = np.empty(n, dtype=np.uint64)
-    latent_seeds = np.empty(n, dtype=np.uint64)
-    guidance_scales = np.empty(n)
     features = np.empty((n, cfg.feature_dim))
+    columns = {
+        "caption_id": np.empty(n, dtype=np.int64),
+        "class_id": np.empty(n, dtype=np.int64),
+        "prompt_seed": np.empty(n, dtype=np.uint64),
+        "latent_seed": np.empty(n, dtype=np.uint64),
+        "guidance_scale": np.empty(n),
+    }
     for i, line in enumerate(records):
         rec = json.loads(line)
-        caption_ids[i] = rec["caption_id"]
-        class_ids[i] = rec["class_id"]
-        prompt_seeds[i] = rec["prompt_seed"]
-        latent_seeds[i] = rec["latent_seed"]
-        guidance_scales[i] = rec["guidance_scale"]
-        feat = rec["feature"]
-        if len(feat) != cfg.feature_dim:
-            raise ValueError(f"{path}: record {i} has wrong feature length")
-        features[i] = feat
+        name = "feature"  # the field being read when an error is raised
+        try:
+            if len(rec[name]) != cfg.feature_dim:
+                raise ValueError(f"length {len(rec[name])}, expected {cfg.feature_dim}")
+            features[i] = rec[name]
+            for name, column in columns.items():
+                column[i] = rec[name]
+        except KeyError:
+            raise ValueError(f"{path}: record {i} has no field {name!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: record {i} field {name!r} is invalid: {exc}") from None
 
     manifest = DatasetManifest(
         config=cfg,
-        master_seed=int(header["master_seed"]),
-        caption_ids=caption_ids,
-        class_ids=class_ids,
-        prompt_seeds=prompt_seeds,
-        latent_seeds=latent_seeds,
-        guidance_scales=guidance_scales,
+        master_seed=master_seed,
+        caption_ids=columns["caption_id"],
+        class_ids=columns["class_id"],
+        prompt_seeds=columns["prompt_seed"],
+        latent_seeds=columns["latent_seed"],
+        guidance_scales=columns["guidance_scale"],
         features=features,
         sampler=header.get("sampler", "ddim"),
     )
-    if header.get("config_hash") != config_hash(cfg, int(header["master_seed"])):
+    if header.get("config_hash") != config_hash(cfg, master_seed):
         raise ValueError(f"{path}: config hash mismatch")
     return manifest

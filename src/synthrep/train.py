@@ -455,15 +455,21 @@ def run_training(
     import os
 
     trainer = Trainer(manifest, cfg)
+    dataset_hash = manifest.hash()
     if resume_from is not None:
         loaded_cfg, ts, meta = load_checkpoint(resume_from)
         if loaded_cfg.to_dict() != cfg.to_dict():
             raise ValueError("checkpoint config does not match requested config")
+        if meta.get("dataset_hash") != dataset_hash:
+            raise ValueError(
+                f"{resume_from}: checkpoint was trained on dataset "
+                f"{meta.get('dataset_hash')}, not on this manifest ({dataset_hash})"
+            )
     else:
         ts = trainer.init_state()
 
     cfg_hash = train_config_hash(cfg)
-    ckpt_meta = {"config_hash": cfg_hash, "dataset_hash": manifest.hash()}
+    ckpt_meta = {"config_hash": cfg_hash, "dataset_hash": dataset_hash}
 
     def on_step(state: TrainState, rec: dict) -> None:
         if (
@@ -563,8 +569,15 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (blob_len,) = np.frombuffer(fh.read(8), dtype=np.uint64)
-        header = json.loads(fh.read(int(blob_len)).decode("utf-8"))
+        raw_len = fh.read(8)
+        blob_len = int.from_bytes(raw_len, "little")
+        blob = fh.read(blob_len)
+        if len(raw_len) != 8 or len(blob) != blob_len:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable checkpoint header ({exc})") from None
         if header.get("format") != _CKPT_FORMAT:
             raise ValueError(f"{path}: unsupported checkpoint format")
         arrays: dict[str, np.ndarray] = {}
@@ -573,7 +586,14 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * dtype.itemsize)
+            if len(buf) != count * dtype.itemsize:
+                raise ValueError(
+                    f"{path}: array {spec['name']!r} is truncated "
+                    f"({len(buf)} of {count * dtype.itemsize} bytes)"
+                )
             arrays[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
 
     meta = header["meta"]
     cfg = TrainConfig.from_dict(meta["train_config"])

@@ -201,6 +201,49 @@ def test_error_record_is_json(workdir, capsys, tmp_path):
     assert not os.path.exists(out + ".partial")
 
 
+def _single_json_error(capsys, command):
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    rec = json.loads(err_lines[0])
+    assert rec["command"] == command
+    return rec["error"]
+
+
+def test_train_on_manifest_without_config_is_json_error(workdir, generated, capsys, tmp_path):
+    root, cfg = workdir
+    lines = open(os.path.join(generated, "manifest.jsonl")).read().splitlines()
+    header = json.loads(lines[0])
+    del header["config"]
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["train", "--config", cfg, "--data", str(bad), "--out", out])
+    assert code == 1
+    error = _single_json_error(capsys, "train")
+    assert str(bad) in error and "'config'" in error
+    assert not os.path.exists(out)
+
+
+def test_train_resume_on_another_manifest_is_refused(workdir, generated, capsys, tmp_path):
+    root, cfg = workdir
+    other = str(tmp_path / "other")
+    assert main(["generate", "--config", cfg, "--seed", "7", "--out", other]) == 0
+    first = str(tmp_path / "first")
+    data = os.path.join(generated, "manifest.jsonl")
+    base = ["train", "--config", cfg, "--seed", "5"]
+    assert main(base + ["--data", data, "--checkpoint-every", "2", "--out", first]) == 0
+    ckpt = os.path.join(first, "checkpoint_000002.bin")
+    out = str(tmp_path / "resumed")
+    capsys.readouterr()
+    code = main(
+        base + ["--data", os.path.join(other, "manifest.jsonl"), "--resume", ckpt, "--out", out]
+    )
+    assert code == 1
+    assert "dataset" in _single_json_error(capsys, "train")
+    assert not os.path.exists(out)
+
+
 def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     root, cfg = workdir
     data = os.path.join(generated, "manifest.jsonl")

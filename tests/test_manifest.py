@@ -117,6 +117,38 @@ def test_read_rejects_corrupt_header(tmp_path):
         read_manifest(str(bad))
 
 
+def test_read_names_missing_or_mistyped_fields(tmp_path):
+    import json
+
+    man = make_manifest()
+    p = tmp_path / "m.jsonl"
+    write_manifest(man, str(p))
+    lines = p.read_text().splitlines()
+    header = json.loads(lines[0])
+    bad = tmp_path / "bad.jsonl"
+
+    def rejects(head, records, field):
+        text = [json.dumps(head, sort_keys=True, separators=(",", ":"))] + records
+        bad.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_manifest(str(bad))
+        assert str(bad) in str(exc.value)
+        assert repr(field) in str(exc.value)
+
+    for field in ("config", "num_samples", "master_seed"):
+        rejects({k: v for k, v in header.items() if k != field}, lines[1:], field)
+    rejects({**header, "config": {**header["config"], "bogus": 1}}, lines[1:], "config")
+    rejects({**header, "config": [1, 2]}, lines[1:], "config")
+    rejects({**header, "num_samples": None}, lines[1:], "num_samples")
+
+    rec = json.loads(lines[1])
+    for field, value in (("feature", 3.0), ("caption_id", "x"), ("latent_seed", -1)):
+        edited = json.dumps({**rec, field: value})
+        rejects(header, [edited] + lines[2:], field)
+        dropped = json.dumps({k: v for k, v in rec.items() if k != field})
+        rejects(header, [dropped] + lines[2:], field)
+
+
 def test_manifest_validation_rejects_bad_shapes():
     man = make_manifest()
     with pytest.raises(ValueError):

@@ -26,10 +26,10 @@ from synthrep.train import (
 )
 
 
-def toy_manifest(num_captions=8, per_caption=3, dim=4):
+def toy_manifest(num_captions=8, per_caption=3, dim=4, seed=2):
     gcfg = GeneratorConfig(feature_dim=dim, num_classes=3, ddim_steps=5)
     recs = synth_captions(num_captions, 3, seed=1)
-    return generate_dataset([r.prompt for r in recs], per_caption, gcfg, seed=2)
+    return generate_dataset([r.prompt for r in recs], per_caption, gcfg, seed=seed)
 
 
 def tiny_cfg(**kw):
@@ -389,6 +389,55 @@ def test_run_training_writes_artifacts_and_resumes(tmp_path):
         run_training(
             man, tiny_cfg(epochs=8), resume_from=str(out / "checkpoint_000004.bin")
         )
+
+
+def test_resume_refuses_another_dataset(tmp_path):
+    man, other = toy_manifest(), toy_manifest(seed=9)
+    assert other.features.shape == man.features.shape
+    assert other.hash() != man.hash()
+    cfg = tiny_cfg(epochs=4)
+    out = tmp_path / "run"
+    out.mkdir()
+    run_training(man, cfg, out_dir=str(out), checkpoint_every=4)
+    with pytest.raises(ValueError, match="dataset"):
+        run_training(other, cfg, resume_from=str(out / "checkpoint_000004.bin"))
+
+
+def _saved_checkpoint(tmp_path):
+    man = toy_manifest()
+    cfg = tiny_cfg(epochs=1)
+    trainer = Trainer(man, cfg)
+    ts = trainer.init_state()
+    trainer.train_step(ts)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), cfg, ts, None)
+    raw = path.read_bytes()
+    blob_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + blob_len])
+    return path, raw, 16 + blob_len, [a["name"] for a in header["arrays"]]
+
+
+def test_checkpoint_truncated_is_rejected_by_name(tmp_path):
+    path, raw, arrays_start, names = _saved_checkpoint(tmp_path)
+    for cut in (5, 12, arrays_start - 7):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=str(path)):
+            load_checkpoint(str(path))
+    for cut in (arrays_start, arrays_start + 3, (arrays_start + len(raw)) // 2, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(str(path))
+        msg = str(exc.value)
+        assert str(path) in msg
+        assert any(repr(name) in msg for name in names)
+
+
+def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
+    path, raw, _, _ = _saved_checkpoint(tmp_path)
+    for junk in (b"\x00", b"trailing junk" * 3):
+        path.write_bytes(raw + junk)
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(str(path))
 
 
 def test_write_metrics_round_trips_exact_floats(tmp_path):
