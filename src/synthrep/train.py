@@ -584,12 +584,11 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
         for spec in header["arrays"]:
             dtype = np.dtype(spec["dtype"])
             shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
+            nbytes = (int(np.prod(shape)) if shape else 1) * dtype.itemsize
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
                 raise ValueError(
-                    f"{path}: array {spec['name']!r} is truncated "
-                    f"({len(buf)} of {count * dtype.itemsize} bytes)"
+                    f"{path}: array {spec['name']!r} is truncated ({len(buf)} of {nbytes} bytes)"
                 )
             arrays[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if fh.read(1):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,6 @@ def test_read_rejects_corrupt_header(tmp_path):
 
 
 def test_read_names_missing_or_mistyped_fields(tmp_path):
-    import json
-
     man = make_manifest()
     p = tmp_path / "m.jsonl"
     write_manifest(man, str(p))
