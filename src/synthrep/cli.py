@@ -11,12 +11,12 @@ record to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 import scipy
@@ -35,7 +35,7 @@ from .evaluate import (
     stratified_split,
 )
 from .generator import GeneratorConfig, generate_dataset
-from .manifest import read_manifest, write_manifest
+from .manifest import canonical_json, json_digest, read_manifest, write_manifest
 from .report import emit_report
 from .seeding import derive_u64
 from .train import (
@@ -161,16 +161,16 @@ def _resolve_seed(ns: argparse.Namespace, cfg: dict) -> int:
     return int(cfg.get("seed", 0))
 
 
-def _hash_dict(d: dict) -> str:
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 # -- artifact staging -----------------------------------------------------------
 
 
 class _Staging:
-    """Build artifacts in <out>.partial, rename to <out> on success."""
+    """Build artifacts in <out>.partial; on leaving the `with` block, rename
+    it to <out> if the block succeeded, else delete it.
+
+    With --force an existing <out> is first renamed aside and deleted only
+    after the new directory is in place, so a failure leaves the old output.
+    """
 
     def __init__(self, out: str, force: bool):
         self.final = out.rstrip("/")
@@ -183,25 +183,53 @@ class _Staging:
             shutil.rmtree(self.tmp)
         os.makedirs(self.tmp)
 
+    def __enter__(self) -> "_Staging":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._commit()
+        finally:
+            shutil.rmtree(self.tmp, ignore_errors=True)
+
     def path(self, *parts: str) -> str:
         p = os.path.join(self.tmp, *parts)
         os.makedirs(os.path.dirname(p), exist_ok=True)
         return p
 
-    def commit(self) -> str:
-        if os.path.exists(self.final):
-            shutil.rmtree(self.final)
-        os.rename(self.tmp, self.final)
-        return self.final
+    def _commit(self) -> None:
+        if not os.path.exists(self.final):
+            os.rename(self.tmp, self.final)
+            return
+        # park the old output in a fresh directory beside it: it is deleted
+        # only once the new output is in place, and put back if that fails
+        parent = os.path.dirname(self.final) or "."
+        aside = tempfile.mkdtemp(prefix=os.path.basename(self.final) + ".old.", dir=parent)
+        old = os.path.join(aside, "out")
+        try:
+            os.rename(self.final, old)
+        except BaseException:
+            os.rmdir(aside)
+            raise
+        try:
+            os.rename(self.tmp, self.final)
+        except BaseException:
+            os.rename(old, self.final)
+            os.rmdir(aside)
+            raise
+        shutil.rmtree(aside)
 
-    def abort(self) -> None:
-        shutil.rmtree(self.tmp, ignore_errors=True)
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(canonical_json(obj) + "\n")
 
 
 def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
     record = {
         "command": command,
-        "config_hash": _hash_dict({"config": cfg, "seed": seed}),
+        "config_hash": json_digest({"config": cfg, "seed": seed}),
         "seed": seed,
         "versions": {
             "synthrep": __version__,
@@ -210,14 +238,8 @@ def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
             "python": platform.python_version(),
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json(path, record)
     return record["config_hash"]
-
-
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # -- shared pipeline pieces -------------------------------------------------------
@@ -298,19 +320,14 @@ def _features_from(manifest_path: str, checkpoint: str | None):
 def _cmd_generate(ns: argparse.Namespace) -> int:
     cfg = _resolve_config(ns)
     seed = _resolve_seed(ns, cfg)
-    staging = _Staging(ns.out, ns.force)
-    try:
+    with _Staging(ns.out, ns.force) as staging:
         manifest, records = _build_manifest(cfg, seed)
         write_manifest(manifest, staging.path("manifest.jsonl"))
         with open(staging.path("captions.txt"), "w", encoding="utf-8", newline="\n") as fh:
             for rec in records:
                 fh.write(rec.text + "\n")
         _write_provenance(staging.path("provenance.json"), "generate", cfg, seed)
-        final = staging.commit()
-    except BaseException:
-        staging.abort()
-        raise
-    print(f"wrote {manifest.num_samples} samples to {final}/manifest.jsonl")
+    print(f"wrote {manifest.num_samples} samples to {staging.final}/manifest.jsonl")
     return 0
 
 
@@ -319,8 +336,7 @@ def _cmd_train(ns: argparse.Namespace) -> int:
     seed = _resolve_seed(ns, cfg)
     manifest = read_manifest(ns.data)
     tcfg = _train_config(cfg, manifest.config.feature_dim, seed)
-    staging = _Staging(ns.out, ns.force)
-    try:
+    with _Staging(ns.out, ns.force) as staging:
         ts, metrics = run_training(
             manifest,
             tcfg,
@@ -329,25 +345,24 @@ def _cmd_train(ns: argparse.Namespace) -> int:
             resume_from=ns.resume,
         )
         _write_provenance(staging.path("provenance.json"), "train", cfg, seed)
-        final = staging.commit()
-    except BaseException:
-        staging.abort()
-        raise
     print(
         f"trained {ts.step} steps ({tcfg.loss_variant}), final loss "
-        f"{metrics[-1]['loss']:.4f}, artifacts in {final}"
+        f"{metrics[-1]['loss']:.4f}, artifacts in {staging.final}"
     )
     return 0
 
 
-def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
+def _probe_config(cfg: dict, seed: int) -> ProbeConfig:
     pc = cfg["probe"]
-    probe_cfg = ProbeConfig(
+    return ProbeConfig(
         normalize_features=bool(pc["normalize_features"]),
         val_fraction=float(pc["val_fraction"]),
         max_iterations=int(pc["max_iterations"]),
         seed=derive_u64(seed, 30),
     )
+
+
+def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
     if ns.train_features:
         _, train_y, train_x = load_features(ns.train_features)
         _, test_y, test_x = load_features(ns.test_features)
@@ -356,7 +371,7 @@ def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
         train_x, train_y, train_hash = _features_from(ns.data, ns.checkpoint)
         test_x, test_y, _ = _features_from(ns.eval_data, ns.checkpoint)
         dataset_id = train_hash
-    report = linear_probe(train_x, train_y, test_x, test_y, probe_cfg)
+    report = linear_probe(train_x, train_y, test_x, test_y, _probe_config(cfg, seed))
     report.dataset_id = dataset_id
     report.checkpoint_id = ns.checkpoint or ""
     return report
@@ -369,23 +384,16 @@ def _cmd_probe(ns: argparse.Namespace) -> int:
         raise CliError("--train-features and --test-features must be given together")
     if not ns.train_features and not (ns.data and ns.eval_data):
         raise CliError("probe needs --data and --eval-data manifests, or feature files")
-    staging = _Staging(ns.out, ns.force)
-    try:
+    with _Staging(ns.out, ns.force) as staging:
         report = _probe_report(ns, cfg, seed)
         cfg_hash = _write_provenance(staging.path("provenance.json"), "probe", cfg, seed)
         payload = report.to_dict()
         payload["config_hash"] = cfg_hash
         _write_json(staging.path("report.json"), payload)
-        emit_report(
-            [report], "csv", staging.path("report.csv"), meta_comment=cfg_hash
-        )
-        final = staging.commit()
-    except BaseException:
-        staging.abort()
-        raise
+        emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
     print(
         f"linear probe accuracy {report.accuracy:.4f} +- {report.ci95:.4f} "
-        f"(lambda {report.details['selected_lambda']:.3g}), report in {final}"
+        f"(lambda {report.details['selected_lambda']:.3g}), report in {staging.final}"
     )
     return 0
 
@@ -402,8 +410,7 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
         reg_lambda=float(fs["reg_lambda"]),
         seed=derive_u64(seed, 31),
     )
-    staging = _Staging(ns.out, ns.force)
-    try:
+    with _Staging(ns.out, ns.force) as staging:
         if ns.features:
             _, labels, feats = load_features(ns.features)
             dataset_id = ""
@@ -417,13 +424,9 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
         payload["config_hash"] = cfg_hash
         _write_json(staging.path("report.json"), payload)
         emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
-        final = staging.commit()
-    except BaseException:
-        staging.abort()
-        raise
     print(
         f"{spec.ways}-way {spec.shots}-shot accuracy {report.accuracy:.4f} "
-        f"+- {report.ci95:.4f} over {spec.episodes} episodes, report in {final}"
+        f"+- {report.ci95:.4f} over {spec.episodes} episodes, report in {staging.final}"
     )
     return 0
 
@@ -507,8 +510,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     if not values:
         raise CliError("--values must list at least one value")
 
-    staging = _Staging(ns.out, ns.force)
-    try:
+    with _Staging(ns.out, ns.force) as staging:
         eval_manifest, eval_train_rows, eval_test_rows = _sweep_eval_split(cfg, seed)
         # axes that leave the dataset unchanged share one manifest
         shared_manifest = None
@@ -535,18 +537,12 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             params = sub_params(ts.params, "img.")
             state = sub_params(ts.norm_state, "img.")
             feats = encode_dataset(eval_manifest, enc, params, state)
-            pc = cell["probe"]
             report = linear_probe(
                 feats[eval_train_rows],
                 eval_manifest.class_ids[eval_train_rows],
                 feats[eval_test_rows],
                 eval_manifest.class_ids[eval_test_rows],
-                ProbeConfig(
-                    normalize_features=bool(pc["normalize_features"]),
-                    val_fraction=float(pc["val_fraction"]),
-                    max_iterations=int(pc["max_iterations"]),
-                    seed=derive_u64(seed, 30),
-                ),
+                _probe_config(cell, seed),
             )
             report.dataset_id = manifest.hash()
             report.checkpoint_id = train_config_hash(tcfg)
@@ -573,12 +569,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                 axis_name=ns.axis, axis_values=numerics,
                 title=f"linear probe vs {ns.axis}", meta_comment=cfg_hash,
             )
-        final = staging.commit()
-    except BaseException:
-        staging.abort()
-        raise
     accs = ", ".join(f"{v}:{r.accuracy:.4f}" for v, r in zip(values, reports))
-    print(f"sweep over {ns.axis} done ({accs}), summary in {final}")
+    print(f"sweep over {ns.axis} done ({accs}), summary in {staging.final}")
     return 0
 
 
@@ -608,23 +600,18 @@ def _cmd_report(ns: argparse.Namespace) -> int:
         axis_values = [v.strip() for v in ns.values.split(",")]
         if len(axis_values) != len(reports):
             raise CliError("--values must match the number of inputs")
-    staging = _Staging(ns.out, ns.force)
-    try:
-        cfg_hash = _hash_dict({"inputs": paths, "axis": ns.axis or ""})
+    with _Staging(ns.out, ns.force) as staging:
+        cfg_hash = json_digest({"inputs": paths, "axis": ns.axis or ""})
         name = {"csv": "report.csv", "table": "report.txt", "svg": "report.svg"}[ns.format]
         emit_report(
             reports, ns.format, staging.path(name),
             axis_name=ns.axis, axis_values=axis_values,
             title=ns.title, meta_comment=cfg_hash,
         )
-        with open(staging.path("provenance.json"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps({"command": "report", "config_hash": cfg_hash},
-                                sort_keys=True, separators=(",", ":")) + "\n")
-        final = staging.commit()
-    except BaseException:
-        staging.abort()
-        raise
-    print(f"rendered {len(reports)} report(s) to {final}/{name}")
+        _write_json(
+            staging.path("provenance.json"), {"command": "report", "config_hash": cfg_hash}
+        )
+    print(f"rendered {len(reports)} report(s) to {staging.final}/{name}")
     return 0
 
 

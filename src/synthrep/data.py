@@ -7,9 +7,7 @@ is feature-space noise plus random scaling, standing in for pixel transforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,10 +25,8 @@ __all__ = [
     "synth_captions",
     "dedup_captions",
     "split_budget",
-    "augment",
     "augment_batch",
     "sample_batch",
-    "epoch_plan",
 ]
 
 
@@ -200,25 +196,13 @@ class Batch:
         return int(self.features.shape[0] // self.num_captions)
 
 
-def augment(feature: np.ndarray, strength: float, seed: int) -> np.ndarray:
-    """Additive Gaussian noise then uniform rescaling, both seeded.
-
-    out = u * (x + strength * g) with g ~ N(0, I) and u ~ U[1 - strength,
-    1 + strength]. strength=0 returns the input unchanged.
-    """
-    if not np.isfinite(strength) or strength < 0:
-        raise ValueError("strength must be finite and >= 0")
-    x = np.asarray(feature, dtype=float)
-    if strength == 0.0:
-        return x.copy()
-    rng = rng_from(SALT_AUGMENT, seed)
-    g = rng.standard_normal(x.shape)
-    u = rng.uniform(1.0 - strength, 1.0 + strength)
-    return u * (x + strength * g)
-
-
 def augment_batch(features: np.ndarray, strength: float, seed: int) -> np.ndarray:
-    """Row-wise augment with one noise matrix and one scale per row."""
+    """Additive Gaussian noise then uniform rescaling of each row, seeded.
+
+    out_i = u_i * (x_i + strength * g_i) with g ~ N(0, I) one noise matrix and
+    u_i ~ U[1 - strength, 1 + strength] one scale per row. strength=0 returns
+    a copy of the input.
+    """
     if not np.isfinite(strength) or strength < 0:
         raise ValueError("strength must be finite and >= 0")
     x = np.asarray(features, dtype=float)
@@ -268,12 +252,3 @@ def sample_batch(
         features=manifest.features[rows].copy(),
         caption_ids=manifest.caption_ids[rows].copy(),
     )
-
-
-def epoch_plan(num_captions: int, spec: BatchSpec) -> tuple[int, Fraction]:
-    """Batches in one pass over the captions, and the compute factor vs. a
-    two-view single-positive run (m / 2)."""
-    if num_captions < 1:
-        raise ValueError("num_captions must be >= 1")
-    batches = math.ceil(num_captions / spec.num_captions)
-    return batches, Fraction(spec.samples_per_caption, 2)

@@ -21,7 +21,7 @@ from scipy.special import erf
 
 from .seeding import SALT_INIT, rng_from
 
-__all__ = ["EncoderConfig", "Representation", "Encoder"]
+__all__ = ["EncoderConfig", "Encoder"]
 
 _EPS = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -92,12 +92,6 @@ class EncoderConfig:
         if "mlp_widths" in d:
             d["mlp_widths"] = tuple(d["mlp_widths"])
         return EncoderConfig(**d)
-
-
-@dataclass
-class Representation:
-    pre_projection: np.ndarray
-    projected: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +174,9 @@ def _layernorm_bwd(dy, cache):
 def _l2norm_fwd(x):
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms == 0):
-        raise FloatingPointError("zero vector reached the normalization layer")
-    return x / norms, (x / norms, norms)
+        raise ValueError("zero vector reached the normalization layer")
+    unit = x / norms
+    return unit, (unit, norms)
 
 
 def _l2norm_bwd(dy, cache):
@@ -454,18 +449,3 @@ class Encoder:
             else:
                 raise AssertionError(f"unknown tape entry {kind}")
         return grads
-
-    def encode(
-        self, params: dict, x: np.ndarray, mode: str = "eval", state: dict | None = None
-    ) -> Representation:
-        """Single-vector or batched convenience wrapper around forward()."""
-        if mode not in ("train", "eval"):
-            raise ValueError("mode must be 'train' or 'eval'")
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        pre, proj, _ = self.forward(params, arr, state=state, training=mode == "train")
-        if single:
-            return Representation(pre_projection=pre[0], projected=proj[0])
-        return Representation(pre_projection=pre, projected=proj)

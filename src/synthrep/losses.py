@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import _l2norm_bwd, _l2norm_fwd
+
 __all__ = [
     "EmbeddingBatch",
     "LossOutput",
@@ -34,6 +36,12 @@ __all__ = [
 _NORM_TOL = 1e-6
 
 
+def _check_unit_norm(name: str, rows: np.ndarray) -> None:
+    err = np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))
+    if err > _NORM_TOL:
+        raise ValueError(f"{name} rows must be unit norm (max dev {err:.3g})")
+
+
 @dataclass
 class EmbeddingBatch:
     """C embedding rows with parallel caption ids."""
@@ -47,17 +55,13 @@ class EmbeddingBatch:
             raise ValueError("embeddings must be (C, d) with C >= 2")
         if self.caption_ids.shape != (e.shape[0],):
             raise ValueError("caption_ids must parallel embeddings")
-        norms = np.linalg.norm(e, axis=1)
-        err = np.max(np.abs(norms - 1.0))
-        if err > _NORM_TOL:
-            raise ValueError(f"embedding rows must be unit norm (max dev {err:.3g})")
+        _check_unit_norm("embedding", e)
 
 
 @dataclass
 class LossOutput:
     loss: float
     grad_embeddings: np.ndarray  # (C, d)
-    grad_wrt: str  # "normalized" or "raw"
 
 
 @dataclass
@@ -66,7 +70,6 @@ class PairLossOutput:
     loss_t2i: float
     grad_image: np.ndarray
     grad_text: np.ndarray
-    grad_wrt: str
 
 
 @dataclass
@@ -77,7 +80,6 @@ class TextLossOutput:
     loss_t2i: float
     grad_images: np.ndarray
     grad_texts: np.ndarray
-    grad_wrt: str
 
 
 def _check_tau(tau: float) -> float:
@@ -86,29 +88,36 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
+def _softmax(
+    anchors: np.ndarray, candidates: np.ndarray, tau: float, self_mask: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of scaled similarities, overflow-safe: returns (q, log q).
+
+    With self_mask the diagonal is excluded from the normalization (requires
+    square logits).
+    """
+    logits = anchors @ candidates.T / tau
+    if self_mask:
+        np.fill_diagonal(logits, -np.inf)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    denom = np.sum(expd, axis=1, keepdims=True)
+    return expd / denom, shifted - np.log(denom)
+
+
 def _softmax_ce(
     anchors: np.ndarray,
     candidates: np.ndarray,
     p: np.ndarray,
     tau: float,
     self_mask: bool,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy of softmax similarities against target rows p.
 
-    Returns (loss, q, grad_anchors, grad_candidates). With self_mask the
-    diagonal is excluded from the normalization (requires square logits).
+    Returns (loss, grad_anchors, grad_candidates).
     """
     a = anchors.shape[0]
-    logits = anchors @ candidates.T / tau
-    if self_mask:
-        np.fill_diagonal(logits, -np.inf)
-    peak = np.max(logits, axis=1, keepdims=True)
-    shifted = logits - peak
-    expd = np.exp(shifted)
-    denom = np.sum(expd, axis=1, keepdims=True)
-    log_q = shifted - np.log(denom)
-    q = expd / denom
-
+    q, log_q = _softmax(anchors, candidates, tau, self_mask)
     active = p > 0
     if np.any(~np.isfinite(log_q[active])):
         raise FloatingPointError("log q diverged where p > 0")
@@ -117,33 +126,14 @@ def _softmax_ce(
     g = (q - p) / a
     grad_anchors = g @ candidates / tau
     grad_candidates = g.T @ anchors / tau
-    return loss, q, grad_anchors, grad_candidates
-
-
-def _chain_normalization(raw: np.ndarray, grad_unit: np.ndarray) -> np.ndarray:
-    """Back-propagate through row-wise v -> v / ||v||."""
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    unit = raw / norms
-    radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    return (grad_unit - radial * unit) / norms
-
-
-def _unit_rows(raw: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot normalize a zero row")
-    return raw / norms
+    return loss, grad_anchors, grad_candidates
 
 
 def contrastive_distribution(batch: EmbeddingBatch, tau: float) -> np.ndarray:
     """Row-stochastic q with q[i][i] = 0, overflow-safe."""
     batch.validate()
-    tau = _check_tau(tau)
-    logits = batch.embeddings @ batch.embeddings.T / tau
-    np.fill_diagonal(logits, -np.inf)
-    peak = np.max(logits, axis=1, keepdims=True)
-    expd = np.exp(logits - peak)
-    return expd / np.sum(expd, axis=1, keepdims=True)
+    e = batch.embeddings
+    return _softmax(e, e, _check_tau(tau), self_mask=True)[0]
 
 
 def match_distribution(caption_ids: np.ndarray) -> np.ndarray:
@@ -166,33 +156,28 @@ def multi_positive_loss(
 
     With normalize=False (default) rows must already be unit norm and the
     gradient is with respect to those normalized embeddings. With
-    normalize=True rows are arbitrary nonzero vectors, normalization happens
-    inside, and the gradient chains through it.
+    normalize=True rows are arbitrary nonzero vectors, normalized by the
+    encoder's row-L2 layer, and the gradient chains through it.
     """
     tau = _check_tau(tau)
     if normalize:
-        raw = batch.embeddings
-        unit = EmbeddingBatch(_unit_rows(raw), batch.caption_ids)
+        e, cache = _l2norm_fwd(batch.embeddings)
     else:
         batch.validate()
-        unit = batch
-        raw = None
+        e = batch.embeddings
 
-    p = match_distribution(unit.caption_ids)
-    e = unit.embeddings
-    loss, _, grad_a, grad_c = _softmax_ce(e, e, p, tau, self_mask=True)
+    p = match_distribution(batch.caption_ids)
+    loss, grad_a, grad_c = _softmax_ce(e, e, p, tau, self_mask=True)
     grad = grad_a + grad_c
     if normalize:
-        grad = _chain_normalization(raw, grad)
-    return LossOutput(
-        loss=loss, grad_embeddings=grad, grad_wrt="raw" if normalize else "normalized"
-    )
+        grad = _l2norm_bwd(grad, cache)
+    return LossOutput(loss=loss, grad_embeddings=grad)
 
 
 def pair_contrastive_loss(
-    image_emb: np.ndarray, text_emb: np.ndarray, tau: float, normalize: bool = False
+    image_emb: np.ndarray, text_emb: np.ndarray, tau: float
 ) -> PairLossOutput:
-    """Symmetric dual-encoder loss over n matched (image, text) rows.
+    """Symmetric dual-encoder loss over n matched unit-norm (image, text) rows.
 
     Image-to-text treats each image as an anchor over all n texts with a
     one-hot target at its own caption; text-to-image is the mirror. No self
@@ -201,30 +186,17 @@ def pair_contrastive_loss(
     tau = _check_tau(tau)
     if image_emb.shape != text_emb.shape or image_emb.ndim != 2:
         raise ValueError("image and text embeddings must share (n, d) shape")
-    n = image_emb.shape[0]
-    if normalize:
-        img_u, txt_u = _unit_rows(image_emb), _unit_rows(text_emb)
-    else:
-        img_u, txt_u = image_emb, text_emb
-        for name, e in (("image", img_u), ("text", txt_u)):
-            err = np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0))
-            if err > _NORM_TOL:
-                raise ValueError(f"{name} rows must be unit norm (max dev {err:.3g})")
+    _check_unit_norm("image", image_emb)
+    _check_unit_norm("text", text_emb)
 
-    eye = np.eye(n)
-    l_i2t, _, g_img_a, g_txt_c = _softmax_ce(img_u, txt_u, eye, tau, self_mask=False)
-    l_t2i, _, g_txt_a, g_img_c = _softmax_ce(txt_u, img_u, eye, tau, self_mask=False)
-    grad_img = g_img_a + g_img_c
-    grad_txt = g_txt_c + g_txt_a
-    if normalize:
-        grad_img = _chain_normalization(image_emb, grad_img)
-        grad_txt = _chain_normalization(text_emb, grad_txt)
+    eye = np.eye(image_emb.shape[0])
+    l_i2t, g_img_a, g_txt_c = _softmax_ce(image_emb, text_emb, eye, tau, self_mask=False)
+    l_t2i, g_txt_a, g_img_c = _softmax_ce(text_emb, image_emb, eye, tau, self_mask=False)
     return PairLossOutput(
         loss_i2t=l_i2t,
         loss_t2i=l_t2i,
-        grad_image=grad_img,
-        grad_text=grad_txt,
-        grad_wrt="raw" if normalize else "normalized",
+        grad_image=g_img_a + g_img_c,
+        grad_text=g_txt_c + g_txt_a,
     )
 
 
@@ -233,55 +205,40 @@ def multi_positive_with_text_loss(
     text_emb: np.ndarray,
     text_caption_ids: np.ndarray,
     tau: float,
-    normalize: bool = False,
 ) -> TextLossOutput:
     """Multi-positive loss plus 0.5 * (image-to-text + text-to-image).
 
-    One text row per caption group. Every image anchors a one-hot over the n
-    texts; every text anchors a uniform target over its caption's m images.
-    Gradients for image and text embeddings are summed across all three terms.
+    One unit-norm text row per caption group. Every image anchors a one-hot
+    over the n texts; every text anchors a uniform target over its caption's
+    m images. Gradients for image and text embeddings are summed across all
+    three terms.
     """
     tau = _check_tau(tau)
-    if normalize:
-        img_u = _unit_rows(batch.embeddings)
-        txt_u = _unit_rows(text_emb)
-        unit_batch = EmbeddingBatch(img_u, batch.caption_ids)
-    else:
-        batch.validate()
-        unit_batch, img_u, txt_u = batch, batch.embeddings, text_emb
-        err = np.max(np.abs(np.linalg.norm(txt_u, axis=1) - 1.0))
-        if err > _NORM_TOL:
-            raise ValueError(f"text rows must be unit norm (max dev {err:.3g})")
+    batch.validate()
+    _check_unit_norm("text", text_emb)
 
     ids = np.asarray(batch.caption_ids)
     text_ids = np.asarray(text_caption_ids)
-    if txt_u.shape[0] != text_ids.size:
+    if text_emb.shape[0] != text_ids.size:
         raise ValueError("one caption id per text row required")
     if set(ids.tolist()) != set(text_ids.tolist()):
         raise ValueError("text captions must cover exactly the batch captions")
 
-    mp = multi_positive_loss(unit_batch, tau, normalize=False)
+    mp = multi_positive_loss(batch, tau)
 
     # membership[i][g] = 1 iff image i belongs to text g's caption
     member = (ids[:, None] == text_ids[None, :]).astype(float)
     p_i2t = member  # one-hot rows: each image matches exactly one text
     p_t2i = member.T / np.sum(member.T, axis=1, keepdims=True)  # uniform over m
 
-    l_i2t, _, g_img_a, g_txt_c = _softmax_ce(img_u, txt_u, p_i2t, tau, self_mask=False)
-    l_t2i, _, g_txt_a, g_img_c = _softmax_ce(txt_u, img_u, p_t2i, tau, self_mask=False)
-
-    total = mp.loss + 0.5 * (l_i2t + l_t2i)
-    grad_images = mp.grad_embeddings + 0.5 * (g_img_a + g_img_c)
-    grad_texts = 0.5 * (g_txt_c + g_txt_a)
-    if normalize:
-        grad_images = _chain_normalization(batch.embeddings, grad_images)
-        grad_texts = _chain_normalization(text_emb, grad_texts)
+    img = batch.embeddings
+    l_i2t, g_img_a, g_txt_c = _softmax_ce(img, text_emb, p_i2t, tau, self_mask=False)
+    l_t2i, g_txt_a, g_img_c = _softmax_ce(text_emb, img, p_t2i, tau, self_mask=False)
     return TextLossOutput(
-        total=total,
+        total=mp.loss + 0.5 * (l_i2t + l_t2i),
         multi_positive=mp.loss,
         loss_i2t=l_i2t,
         loss_t2i=l_t2i,
-        grad_images=grad_images,
-        grad_texts=grad_texts,
-        grad_wrt="raw" if normalize else "normalized",
+        grad_images=mp.grad_embeddings + 0.5 * (g_img_a + g_img_c),
+        grad_texts=0.5 * (g_txt_c + g_txt_a),
     )

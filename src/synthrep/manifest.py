@@ -34,14 +34,20 @@ def fmt_float(v: float) -> str:
     return "%.17g" % float(v)
 
 
+def canonical_json(obj) -> str:
+    """Sorted-key, whitespace-free JSON: the one text form every artifact
+    header, provenance record and config hash is built from."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def json_digest(obj) -> str:
+    """sha256 hex digest of the canonical JSON of obj."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 def config_hash(cfg: GeneratorConfig, master_seed: int) -> str:
     """Stable hex digest of the generator config and master seed."""
-    payload = json.dumps(
-        {"config": cfg.to_dict(), "master_seed": int(master_seed)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return json_digest({"config": cfg.to_dict(), "master_seed": int(master_seed)})
 
 
 @dataclass
@@ -97,9 +103,6 @@ class DatasetManifest:
             raise KeyError(f"caption_id {caption_id} not in manifest")
         return rows
 
-    def class_of_caption(self, caption_id: int) -> int:
-        return int(self.class_ids[self.rows_for_caption(caption_id)[0]])
-
     def prompt_for(self, caption_id: int):
         """Reconstruct the PromptSpec of a caption from its stored seed."""
         from .generator import PromptSpec
@@ -125,7 +128,7 @@ class DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, path: str) -> None:
     lines = [
-        json.dumps(
+        canonical_json(
             {
                 "kind": _KIND,
                 "version": _VERSION,
@@ -134,9 +137,7 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
                 "config_hash": config_hash(manifest.config, manifest.master_seed),
                 "num_samples": manifest.num_samples,
                 "sampler": manifest.sampler,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
     ]
     for i in range(manifest.num_samples):
@@ -157,13 +158,15 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _header_field(header: dict, name: str, convert, path: str):
+def _read_field(record: dict, name: str, convert, path: str, where: str = "header"):
+    """convert(record[name]); a missing or invalid field raises a ValueError
+    that names the file, the part of it (`where`) and the field."""
     try:
-        return convert(header[name])
+        return convert(record[name])
     except KeyError:
-        raise ValueError(f"{path}: header has no field {name!r}") from None
+        raise ValueError(f"{path}: {where} has no field {name!r}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: header field {name!r} is invalid: {exc}") from None
+        raise ValueError(f"{path}: {where} field {name!r} is invalid: {exc}") from None
 
 
 def read_manifest(path: str) -> DatasetManifest:
@@ -176,9 +179,9 @@ def read_manifest(path: str) -> DatasetManifest:
         raise ValueError(f"{path}: not a {_KIND} file")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    cfg = _header_field(header, "config", GeneratorConfig.from_dict, path)
-    n = _header_field(header, "num_samples", int, path)
-    master_seed = _header_field(header, "master_seed", int, path)
+    cfg = _read_field(header, "config", GeneratorConfig.from_dict, path)
+    n = _read_field(header, "num_samples", int, path)
+    master_seed = _read_field(header, "master_seed", int, path)
     records = lines[1:]
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")

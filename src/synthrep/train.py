@@ -25,7 +25,7 @@ from .losses import (
     multi_positive_with_text_loss,
     pair_contrastive_loss,
 )
-from .manifest import DatasetManifest, fmt_float
+from .manifest import DatasetManifest, _read_field, canonical_json, fmt_float, json_digest
 from .seeding import SALT_EPOCH, derive_u64, rng_from
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "lr_at",
     "init_opt_state",
     "adamw_step",
-    "train_step",
     "Trainer",
     "sub_params",
     "run_training",
@@ -163,10 +162,7 @@ class TrainConfig:
 
 def train_config_hash(cfg: TrainConfig) -> str:
     """Stable hex digest of the full training configuration."""
-    import hashlib
-
-    payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return json_digest(cfg.to_dict())
 
 
 def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: float) -> float:
@@ -410,35 +406,6 @@ class Trainer:
         return metrics
 
 
-def train_step(
-    params: dict, opt_state: OptimizerState, batch: Batch, cfg: TrainConfig, **kw
-) -> tuple[dict, OptimizerState, dict]:
-    """One self-contained optimization step on an explicit batch.
-
-    Thin wrapper for callers that manage their own batches; run_training is
-    the loop used by the CLI. Extra keyword arguments: norm_state, lr,
-    encoder override.
-    """
-    enc = Encoder(cfg.encoder)
-    norm_state = kw.get("norm_state")
-    if norm_state is None:
-        norm_state = enc.init_state()
-    lr = kw.get("lr", cfg.peak_lr)
-    _, proj, tape = enc.forward(
-        params, batch.features, state=norm_state, training=True, update_running=True
-    )
-    out = multi_positive_loss(EmbeddingBatch(proj, batch.caption_ids), cfg.tau)
-    grads = enc.backward(params, tape, out.grad_embeddings)
-    grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    if not np.isfinite(out.loss) or not np.isfinite(grad_norm):
-        raise TrainingDivergedError(
-            f"non-finite loss ({out.loss}) or gradient norm ({grad_norm})"
-        )
-    adamw_step(params, grads, opt_state, lr, cfg.betas, cfg.weight_decay)
-    metrics = {"loss": out.loss, "lr": lr, "grad_norm": grad_norm}
-    return params, opt_state, metrics
-
-
 def run_training(
     manifest: DatasetManifest,
     cfg: TrainConfig,
@@ -464,6 +431,11 @@ def run_training(
             raise ValueError(
                 f"{resume_from}: checkpoint was trained on dataset "
                 f"{meta.get('dataset_hash')}, not on this manifest ({dataset_hash})"
+            )
+        if ts.step >= trainer.total_steps:
+            raise ValueError(
+                f"{resume_from}: checkpoint is at step {ts.step}, the final step of "
+                f"this run ({trainer.total_steps}); there is nothing to resume"
             )
     else:
         ts = trainer.init_state()
@@ -500,7 +472,7 @@ def write_metrics(path: str, metrics: list[dict], header: dict | None = None) ->
     """Line-delimited metrics with exact float formatting."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header is not None:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(canonical_json(header) + "\n")
         for rec in metrics:
             fh.write(
                 '{"step":%d,"epoch_equiv":%s,"loss":%s,"lr":%s,"grad_norm":%s}\n'
@@ -555,7 +527,7 @@ def save_checkpoint(
             for k in names
         ],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.uint64(len(blob)).tobytes())
@@ -578,30 +550,34 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
             header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: unreadable checkpoint header ({exc})") from None
-        if header.get("format") != _CKPT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != _CKPT_FORMAT:
             raise ValueError(f"{path}: unsupported checkpoint format")
+        meta = _read_field(header, "meta", dict, path)
+        cfg = _read_field(meta, "train_config", TrainConfig.from_dict, path, "meta")
+        step = _read_field(meta, "step", int, path, "meta")
+        opt_step = _read_field(meta, "opt_step", int, path, "meta")
         arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
+        for i, spec in enumerate(_read_field(header, "arrays", list, path)):
+            where = f"array spec {i}"
+            name = _read_field(spec, "name", str, path, where)
+            dtype = _read_field(spec, "dtype", np.dtype, path, where)
+            shape = _read_field(spec, "shape", lambda v: tuple(map(int, v)), path, where)
             nbytes = (int(np.prod(shape)) if shape else 1) * dtype.itemsize
             buf = fh.read(nbytes)
             if len(buf) != nbytes:
                 raise ValueError(
-                    f"{path}: array {spec['name']!r} is truncated ({len(buf)} of {nbytes} bytes)"
+                    f"{path}: array {name!r} is truncated ({len(buf)} of {nbytes} bytes)"
                 )
-            arrays[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
 
-    meta = header["meta"]
-    cfg = TrainConfig.from_dict(meta["train_config"])
     params = {k[len("params/") :]: v for k, v in arrays.items() if k.startswith("params/")}
     opt = OptimizerState(
-        step=int(meta["opt_step"]),
+        step=opt_step,
         m={k[len("opt_m/") :]: v for k, v in arrays.items() if k.startswith("opt_m/")},
         v={k[len("opt_v/") :]: v for k, v in arrays.items() if k.startswith("opt_v/")},
     )
     norm = {k[len("norm/") :]: v for k, v in arrays.items() if k.startswith("norm/")}
-    ts = TrainState(params=params, norm_state=norm, opt=opt, step=int(meta["step"]))
+    ts = TrainState(params=params, norm_state=norm, opt=opt, step=step)
     return cfg, ts, meta

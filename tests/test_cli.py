@@ -244,6 +244,83 @@ def test_train_resume_on_another_manifest_is_refused(workdir, generated, capsys,
     assert not os.path.exists(out)
 
 
+def test_train_resume_on_a_finished_checkpoint_is_refused(
+    workdir, generated, trained, capsys, tmp_path
+):
+    root, cfg = workdir
+    data = os.path.join(generated, "manifest.jsonl")
+    ckpt = os.path.join(trained, "checkpoint.bin")
+    out = str(tmp_path / "resumed")
+    capsys.readouterr()
+    code = main(
+        ["train", "--config", cfg, "--seed", "5", "--data", data, "--resume", ckpt,
+         "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "train")
+    assert ckpt in error and "step" in error
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".partial")
+
+
+def test_probe_checkpoint_without_arrays_is_json_error(
+    workdir, generated, eval_generated, trained, capsys, tmp_path
+):
+    root, cfg = workdir
+    raw = open(os.path.join(trained, "checkpoint.bin"), "rb").read()
+    blob_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + blob_len])
+    del header["arrays"]
+    blob = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["probe", "--config", cfg, "--seed", "5",
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--eval-data", os.path.join(eval_generated, "manifest.jsonl"),
+         "--checkpoint", str(bad), "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "probe")
+    assert str(bad) in error and "'arrays'" in error
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_force_keeps_old_output_when_a_rename_fails(
+    workdir, monkeypatch, capsys, tmp_path, failing_call
+):
+    # call 1 moves the old output aside, call 2 moves the new one into place
+    root, cfg = workdir
+    out = tmp_path / "data"
+    assert main(["generate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    real_rename, calls = os.rename, []
+
+    def rename_failing_once(src, dst):
+        calls.append((src, dst))
+        if len(calls) == failing_call:
+            raise OSError(f"injected rename failure: {src} -> {dst}")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename_failing_once)
+    capsys.readouterr()
+    code = main(["generate", "--config", cfg, "--seed", "6", "--out", str(out), "--force"])
+    monkeypatch.undo()
+    assert code == 1
+    assert "injected" in _single_json_error(capsys, "generate")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    # without the fault, --force replaces the output and leaves nothing beside it
+    assert main(["generate", "--config", cfg, "--seed", "6", "--out", str(out), "--force"]) == 0
+    assert (out / "manifest.jsonl").read_bytes() != before["manifest.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     root, cfg = workdir
     data = os.path.join(generated, "manifest.jsonl")

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -7,10 +5,8 @@ from scipy.special import gammaln
 from synthrep.data import (
     Batch,
     BatchSpec,
-    augment,
     augment_batch,
     dedup_captions,
-    epoch_plan,
     load_captions,
     normalize_text,
     sample_batch,
@@ -87,28 +83,29 @@ def test_batch_validates_caption_major_layout():
 
 
 def test_augment_strength_zero_is_copy():
-    x = np.arange(8.0)
-    y = augment(x, 0.0, seed=4)
+    x = np.arange(8.0).reshape(2, 4)
+    y = augment_batch(x, 0.0, seed=4)
     np.testing.assert_array_equal(x, y)
     assert y is not x
 
 
 def test_augment_deterministic_and_strength_dependent():
-    x = np.ones(16)
-    a = augment(x, 0.3, seed=5)
-    b = augment(x, 0.3, seed=5)
+    x = np.ones((3, 16))
+    a = augment_batch(x, 0.3, seed=5)
+    b = augment_batch(x, 0.3, seed=5)
     np.testing.assert_array_equal(a, b)
-    assert not np.allclose(a, augment(x, 0.3, seed=6))
-    assert not np.allclose(a, augment(x, 0.2, seed=5))
+    assert not np.allclose(a, augment_batch(x, 0.3, seed=6))
+    assert not np.allclose(a, augment_batch(x, 0.2, seed=5))
 
 
 def test_augment_noise_magnitude_oracle():
     # E || out/u - x || = s * E||g|| with ||g|| chi(d);
     # E chi(d) = sqrt(2) * Gamma((d+1)/2) / Gamma(d/2)
     d, s, n = 12, 0.7, 4000
-    x = np.zeros(d)
-    norms = np.array([np.linalg.norm(augment(x, s, seed=i)) for i in range(n)])
-    # u and g are independent, E[u] = 1, so E||out|| = s * E chi(d)
+    x = np.zeros((n, d))
+    norms = np.linalg.norm(augment_batch(x, s, seed=3), axis=1)
+    # each row draws its own u and g, independent, E[u] = 1, so
+    # E||out_i|| = s * E chi(d)
     chi_mean = np.sqrt(2.0) * np.exp(gammaln((d + 1) / 2.0) - gammaln(d / 2.0))
     expected = s * chi_mean
     chi_std = np.sqrt(d - chi_mean**2)
@@ -185,11 +182,3 @@ def test_sample_batch_requires_enough_samples():
         sample_batch(man, BatchSpec(2, 3), seed=0)
     with pytest.raises(ValueError):
         sample_batch(man, BatchSpec(9, 1), seed=0)
-
-
-def test_epoch_plan():
-    assert epoch_plan(500, BatchSpec(20, 6)) == (25, Fraction(3, 1))
-    assert epoch_plan(500, BatchSpec(20, 2)) == (25, Fraction(1, 1))
-    assert epoch_plan(10, BatchSpec(4, 1)) == (3, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        epoch_plan(0, BatchSpec(4, 1))

@@ -157,14 +157,21 @@ def test_encode_single_matches_batch_row():
     params = enc.init_params(13)
     state = enc.init_state()
     x = np.random.default_rng(14).standard_normal((3, 6))
-    batch = enc.encode(params, x, mode="eval", state=state)
-    single = enc.encode(params, x[1], mode="eval", state=state)
+    pre, proj, _ = enc.forward(params, x, state=state)
+    pre1, proj1, _ = enc.forward(params, x[1:2], state=state)
     # matmul kernels may differ between (1, d) and (n, d) shapes by an ulp
-    np.testing.assert_allclose(single.projected, batch.projected[1], atol=1e-12)
-    np.testing.assert_allclose(single.pre_projection, batch.pre_projection[1], atol=1e-12)
-    assert single.projected.ndim == 1
-    with pytest.raises(ValueError):
-        enc.encode(params, x, mode="predict", state=state)
+    np.testing.assert_allclose(proj1[0], proj[1], atol=1e-12)
+    np.testing.assert_allclose(pre1[0], pre[1], atol=1e-12)
+
+
+def test_zero_row_at_normalization_raises_value_error():
+    enc = Encoder(small_mlp_cfg())
+    params = enc.init_params(16)
+    params["head.l2.W"][:] = 0.0
+    params["head.l2.b"][:] = 0.0
+    x = np.random.default_rng(17).standard_normal((3, 6))
+    with pytest.raises(ValueError, match="zero vector"):
+        enc.forward(params, x, training=True)
 
 
 def test_input_shape_validation():

@@ -1,0 +1,42 @@
+"""The package root exports what the demos and the README example import."""
+
+import ast
+import re
+from pathlib import Path
+
+import synthrep
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _root_imports(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "synthrep" and node.level == 0:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _caller_sources() -> dict[str, str]:
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(ROOT.glob("demos/*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, flags=re.S)):
+        sources[f"README.md python block {i}"] = block
+    return sources
+
+
+def test_callers_import_only_exported_names():
+    sources = _caller_sources()
+    assert len(sources) == 4  # three demos and the README example
+    for where, source in sources.items():
+        names = _root_imports(source)
+        assert names, f"{where} imports nothing from synthrep"
+        for name in sorted(names):
+            assert name in synthrep.__all__, f"{where} imports {name}, not in __all__"
+            assert hasattr(synthrep, name), f"{where} imports {name}, which does not resolve"
+
+
+def test_root_exports_nothing_its_callers_do_not_use():
+    used = set().union(*(_root_imports(s) for s in _caller_sources().values()))
+    assert sorted(set(synthrep.__all__) - used) == ["__version__"]
+    assert len(synthrep.__all__) == len(set(synthrep.__all__))

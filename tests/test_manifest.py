@@ -92,7 +92,7 @@ def test_rows_and_prompt_accessors():
     assert len(rows) == 4
     prompt = man.prompt_for(cid)
     assert prompt.caption_id == cid
-    assert prompt.class_id == man.class_of_caption(cid)
+    assert prompt.class_id == man.class_ids[rows[0]]
     with pytest.raises(KeyError):
         man.rows_for_caption(10_000)
 

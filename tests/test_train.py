@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from synthrep.data import Batch, BatchSpec
-from synthrep.encoder import Encoder, EncoderConfig
+from synthrep.data import BatchSpec
+from synthrep.encoder import EncoderConfig
 from synthrep.generator import GeneratorConfig, caption_to_component, generate_dataset
 from synthrep.data import synth_captions
 from synthrep.train import (
@@ -21,7 +21,6 @@ from synthrep.train import (
     save_checkpoint,
     sub_params,
     train_config_hash,
-    train_step,
     write_metrics,
 )
 
@@ -275,15 +274,15 @@ def test_sub_params_shares_storage():
 def test_divergence_is_reported():
     # an absurd temperature overflows the gradient norm while the loss
     # itself stays finite
-    cfg = tiny_cfg(tau=1e-250)
-    enc = Encoder(cfg.encoder)
-    params = enc.init_params(0)
-    opt = init_opt_state(params)
-    rng = np.random.default_rng(0)
-    feats = rng.standard_normal((8, 4))
-    batch = Batch(features=feats, caption_ids=np.repeat(np.arange(4), 2))
-    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
-        train_step(params, opt, batch, cfg)
+    trainer = Trainer(toy_manifest(), tiny_cfg(tau=1e-250))
+    ts = trainer.init_state()
+    before = {k: v.copy() for k, v in ts.params.items()}
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="step 0"):
+        trainer.train_step(ts)
+    # the step is refused before the optimizer touches the parameters
+    assert ts.step == 0 and ts.opt.step == 0
+    for k, v in before.items():
+        np.testing.assert_array_equal(ts.params[k], v)
 
 
 def test_grad_clip_bounds_update_norm():
@@ -391,6 +390,17 @@ def test_run_training_writes_artifacts_and_resumes(tmp_path):
         )
 
 
+def test_resume_refuses_a_finished_checkpoint(tmp_path):
+    man = toy_manifest()
+    cfg = tiny_cfg(epochs=1)  # 2 * 1 * 8 / (4 * 2) = 2 steps
+    out = tmp_path / "run"
+    out.mkdir()
+    run_training(man, cfg, out_dir=str(out))
+    ckpt = str(out / "checkpoint.bin")
+    with pytest.raises(ValueError, match=r"checkpoint\.bin.*step 2"):
+        run_training(man, cfg, resume_from=ckpt)
+
+
 def test_resume_refuses_another_dataset(tmp_path):
     man, other = toy_manifest(), toy_manifest(seed=9)
     assert other.features.shape == man.features.shape
@@ -430,6 +440,43 @@ def test_checkpoint_truncated_is_rejected_by_name(tmp_path):
         msg = str(exc.value)
         assert str(path) in msg
         assert any(repr(name) in msg for name in names)
+
+
+def _rewrite_header(path, raw, edit):
+    blob_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + blob_len])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
+
+
+@pytest.mark.parametrize(
+    "where, field",
+    [
+        ((), "arrays"),
+        ((), "meta"),
+        (("meta",), "train_config"),
+        (("meta",), "step"),
+        (("meta",), "opt_step"),
+        (("arrays", 0), "name"),
+        (("arrays", 0), "dtype"),
+        (("arrays", 0), "shape"),
+    ],
+)
+def test_checkpoint_missing_header_field_is_named(tmp_path, where, field):
+    path, raw, _, _ = _saved_checkpoint(tmp_path)
+
+    def drop(header):
+        node = header
+        for key in where:
+            node = node[key]
+        del node[field]
+
+    _rewrite_header(path, raw, drop)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+    assert repr(field) in str(exc.value)
 
 
 def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
