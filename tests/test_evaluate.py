@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,28 @@ def test_fit_logreg_huge_penalty_collapses_weights():
     x, y = clustered(3, 30, 4, spread=0.1, seed=1)
     w, _, _ = fit_logreg(x, y, 3, reg_lambda=1e6, max_iterations=500)
     assert np.max(np.abs(w)) < 1e-4
+
+
+# sha256 over the bytes of (W, b) from fit_logreg on clustered(K, 12, 6, 3.0,
+# seed 41) with max_iterations=200. Every L-BFGS iterate feeds the next, so
+# these pin the objective and gradient bits over whole trajectories, the zero
+# start included. Recorded with numpy 2.4 and scipy 1.17 on x86-64.
+GOLDEN_LOGREG = {
+    (2, 1e-6): "a1a9d1f9ab65cf5af07e6655038d9fbc1fe85f87d60756eeca0220f61bd8c144",
+    (2, 1.0): "650be5fceea7a0c1f07a66cb5d3ed416617b28a8d635ba6d011176a08f10dbd6",
+    (2, 1e5): "3e64fe4718b1d2ee0d0a2a1a3dcb4df42e1ede26ac03ff513b6bdbab66821187",
+    (10, 1e-6): "27128f73735594d02e9f34dd91fd9232c6b3fa74c0389c13361f5e8c60060cb5",
+    (10, 1.0): "a4b4ed835c2daaa7bcafd1bc86166a1394bd916422be749f3e163b28b8ad194a",
+    (10, 1e5): "bf9a232d7c1cd851d8d148e59ae8d606c3badc4a91f865defa0dad8ffd62cd27",
+}
+
+
+@pytest.mark.parametrize("k, lam", sorted(GOLDEN_LOGREG))
+def test_fit_logreg_golden_bits(k, lam):
+    x, y = clustered(k, 12, 6, spread=3.0, seed=41)
+    w, b, _ = fit_logreg(x, y, k, lam, max_iterations=200)
+    digest = hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest()
+    assert digest == GOLDEN_LOGREG[(k, lam)]
 
 
 def test_stratified_split_properties():
