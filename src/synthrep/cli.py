@@ -142,10 +142,18 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
-            cfg = _deep_update(cfg, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise CliError(f"{ns.config}: a config file must hold a JSON object")
+        cfg = _deep_update(cfg, loaded)
     for expr in getattr(ns, "set", None) or []:
         path, value = _parse_override(expr)
         _apply_override(cfg, path, value)
+    for name, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(cfg[name], dict):
+            raise CliError(
+                f"config section {name!r} must be an object, not {json.dumps(cfg[name])}"
+            )
     return cfg
 
 

@@ -176,6 +176,9 @@ def _l2norm_fwd(x):
     if np.any(norms == 0):
         raise ValueError("zero vector reached the normalization layer")
     unit = x / norms
+    if not np.all(np.isfinite(norms)):
+        # an overflowed norm leaves no direction; x / inf would be a zero row
+        unit[~np.isfinite(norms[..., 0])] = np.nan
     return unit, (unit, norms)
 
 

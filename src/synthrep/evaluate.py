@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .encoder import Encoder
 from .manifest import fmt_float
@@ -106,6 +104,39 @@ class EvalReport:
         }
 
 
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first fit.
+
+    Importing scipy.optimize takes about 0.3 s, which commands that never fit
+    a classifier (generate, train) should not pay.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(z))) of a 2-D float64 array.
+
+    The algorithm of scipy 1.17's `logsumexp(z, axis=1)`, bit for bit: the m
+    tied row maxima are left out of the shifted sum s and come back as
+    log1p(s / m) + log(m) + max, and rows whose result is not finite fall
+    back to log(sum(exp(z))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(z, axis=1, keepdims=True)
+        is_max = z == a_max
+        m = np.sum(is_max, axis=1, keepdims=True, dtype=z.dtype)
+        shifted = z - a_max
+        np.copyto(shifted, -np.inf, where=is_max)
+        s = np.sum(np.exp(shifted), axis=1, keepdims=True) / m
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(z[bad]), axis=1))
+    return out
+
+
 def fit_logreg(
     features: np.ndarray,
     labels: np.ndarray,
@@ -129,14 +160,15 @@ def fit_logreg(
     def unpack(theta):
         return theta[: d * k].reshape(d, k), theta[d * k :]
 
+    rows = np.arange(n)
     onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    onehot[rows, y] = 1.0
 
     def objective(theta):
         w, b = unpack(theta)
         logits = x @ w + b
-        lse = logsumexp(logits, axis=1)
-        loss = float(np.mean(lse - logits[np.arange(n), y]))
+        lse = _logsumexp_rows(logits)
+        loss = float(np.mean(lse - logits[rows, y]))
         loss += reg_lambda * 0.5 * float(np.sum(w * w))
         p = np.exp(logits - lse[:, None])
         g = (p - onehot) / n
@@ -259,6 +291,8 @@ def fewshot_eval(
     spec = spec or EpisodeSpec()
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     classes = np.unique(y)
     if classes.size < spec.ways:
         raise ValueError(f"need >= {spec.ways} classes, have {classes.size}")

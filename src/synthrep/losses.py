@@ -38,7 +38,7 @@ _NORM_TOL = 1e-6
 
 def _check_unit_norm(name: str, rows: np.ndarray) -> None:
     err = np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))
-    if err > _NORM_TOL:
+    if not err <= _NORM_TOL:  # NaN rows fail too
         raise ValueError(f"{name} rows must be unit norm (max dev {err:.3g})")
 
 

@@ -344,6 +344,7 @@ class Trainer:
         _, proj, tape = self.image_enc.forward(
             img_params, batch.features, state=img_state, training=True, update_running=True
         )
+        self._check_finite("image", proj, ts.step, lr)
 
         grads: dict[str, np.ndarray] = {}
         if cfg.uses_text:
@@ -352,6 +353,7 @@ class Trainer:
             _, tproj, ttape = self.text_enc.forward(
                 txt_params, texts, state=txt_state, training=True, update_running=True
             )
+            self._check_finite("text", tproj, ts.step, lr)
             cids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
             if cfg.loss_variant == "pair_only":
                 out = pair_contrastive_loss(proj, tproj, cfg.tau)
@@ -395,6 +397,13 @@ class Trainer:
             "lr": float(lr),
             "grad_norm": grad_norm,
         }
+
+    @staticmethod
+    def _check_finite(tower: str, proj: np.ndarray, step: int, lr: float) -> None:
+        if not np.all(np.isfinite(proj)):
+            raise TrainingDivergedError(
+                f"non-finite {tower} embeddings at step {step}; lr={lr:.3g}"
+            )
 
     def run(self, ts: TrainState, on_step=None) -> list[dict]:
         metrics = []
@@ -536,6 +545,27 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arrays[k]).tobytes())
 
 
+def _checkpoint_layout(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every array a checkpoint of `cfg` holds.
+
+    `Encoder.init_params` under params/, opt_m/ and opt_v/ and
+    `Encoder.init_state` under norm/, for the image tower and, in the text
+    variants, the text tower.
+    """
+    towers = {"img.": cfg.encoder}
+    if cfg.uses_text:
+        towers["txt."] = cfg.text_encoder
+    layout = {}
+    for prefix, enc_cfg in towers.items():
+        enc = Encoder(enc_cfg)
+        for k, v in enc.init_params(0).items():
+            for group in ("params/", "opt_m/", "opt_v/"):
+                layout[group + prefix + k] = v.shape
+        for k, v in enc.init_state().items():
+            layout["norm/" + prefix + k] = v.shape
+    return layout
+
+
 def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -556,12 +586,24 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
         cfg = _read_field(meta, "train_config", TrainConfig.from_dict, path, "meta")
         step = _read_field(meta, "step", int, path, "meta")
         opt_step = _read_field(meta, "opt_step", int, path, "meta")
+        layout = _checkpoint_layout(cfg)
         arrays: dict[str, np.ndarray] = {}
         for i, spec in enumerate(_read_field(header, "arrays", list, path)):
             where = f"array spec {i}"
             name = _read_field(spec, "name", str, path, where)
             dtype = _read_field(spec, "dtype", np.dtype, path, where)
             shape = _read_field(spec, "shape", lambda v: tuple(map(int, v)), path, where)
+            if name not in layout:
+                raise ValueError(f"{path}: array {name!r} is not in its train_config's layout")
+            if name in arrays:
+                raise ValueError(f"{path}: array {name!r} appears twice")
+            if shape != layout[name]:
+                raise ValueError(
+                    f"{path}: array {name!r} has shape {shape}; its train_config "
+                    f"implies {layout[name]}"
+                )
+            if dtype != np.float64:
+                raise ValueError(f"{path}: array {name!r} has dtype {dtype.str}, not float64")
             nbytes = (int(np.prod(shape)) if shape else 1) * dtype.itemsize
             buf = fh.read(nbytes)
             if len(buf) != nbytes:
@@ -571,6 +613,9 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
+    missing = sorted(layout.keys() - arrays.keys())
+    if missing:
+        raise ValueError(f"{path}: array {missing[0]!r} is missing ({len(missing)} missing)")
 
     params = {k[len("params/") :]: v for k, v in arrays.items() if k.startswith("params/")}
     opt = OptimizerState(

@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import synthrep
 from synthrep.cli import SEED_ENV_VAR, main
 from synthrep.evaluate import save_features
 from synthrep.manifest import read_manifest
+from synthrep.train import load_checkpoint, save_checkpoint
 
 TINY = {
     "generator": {"feature_dim": 4, "num_classes": 3, "ddim_steps": 5},
@@ -286,6 +290,104 @@ def test_probe_checkpoint_without_arrays_is_json_error(
     error = _single_json_error(capsys, "probe")
     assert str(bad) in error and "'arrays'" in error
     assert not os.path.exists(out)
+
+
+def test_probe_checkpoint_without_an_array_is_json_error(
+    workdir, generated, eval_generated, trained, capsys, tmp_path
+):
+    root, cfg = workdir
+    tcfg, ts, _ = load_checkpoint(os.path.join(trained, "checkpoint.bin"))
+    del ts.params["img.head.l2.W"]
+    bad = tmp_path / "checkpoint.bin"
+    save_checkpoint(str(bad), tcfg, ts)
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["probe", "--config", cfg, "--seed", "5",
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--eval-data", os.path.join(eval_generated, "manifest.jsonl"),
+         "--checkpoint", str(bad), "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "probe")
+    assert str(bad) in error and "'params/img.head.l2.W'" in error
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_is_json_error(workdir, generated, capsys, tmp_path):
+    root, cfg = workdir
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["train", "--config", cfg, "--seed", "5",
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--set", "train.epochs=6", "--set", "train.base_lr=1e12", "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "train")
+    assert "non-finite" in error and "step" in error and "lr=" in error
+    assert not os.path.exists(out)
+
+
+# each section with a command that reads it
+@pytest.mark.parametrize(
+    "section, command",
+    [
+        ("data", "generate"),
+        ("generator", "generate"),
+        ("train", "train"),
+        ("probe", "probe"),
+        ("fewshot", "fewshot"),
+    ],
+)
+def test_config_section_of_the_wrong_type_is_json_error(
+    workdir, generated, eval_generated, capsys, tmp_path, section, command
+):
+    root, cfg = workdir
+    data = os.path.join(generated, "manifest.jsonl")
+    inputs = {
+        "generate": [],
+        "train": ["--data", data],
+        "probe": ["--data", data, "--eval-data", os.path.join(eval_generated, "manifest.jsonl")],
+        "fewshot": ["--data", data],
+    }[command]
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        [command, "--config", cfg, *inputs, "--set", f"{section}=null", "--out", out]
+    )
+    assert code == 1
+    assert repr(section) in _single_json_error(capsys, command)
+    assert not os.path.exists(out)
+
+
+def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, tmp_path):
+    root, cfg = workdir
+    man = read_manifest(os.path.join(generated, "manifest.jsonl"))
+    feats = tmp_path / "features.jsonl"
+    with open(feats, "w") as fh:
+        for i in range(man.num_samples):
+            row = [float("nan") if i == 3 else float(v) for v in man.features[i]]
+            rec = {"sample_id": i, "class_id": int(man.class_ids[i]), "feature": row}
+            fh.write(json.dumps(rec) + "\n")
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["fewshot", "--config", cfg, "--features", str(feats), "--out", out])
+    assert code == 1
+    assert "finite" in _single_json_error(capsys, "fewshot")
+    assert not os.path.exists(out)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # commands that never fit a classifier should not pay for scipy.optimize
+    src = os.path.dirname(os.path.dirname(synthrep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, synthrep.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])

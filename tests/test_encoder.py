@@ -174,6 +174,18 @@ def test_zero_row_at_normalization_raises_value_error():
         enc.forward(params, x, training=True)
 
 
+def test_overflowed_norm_at_normalization_gives_nan_row():
+    enc = Encoder(small_mlp_cfg())
+    params = enc.init_params(16)
+    params["head.l2.b"][:] = 0.0
+    params["head.l2.b"][0] = 1e300  # every row's squared norm overflows
+    x = np.random.default_rng(17).standard_normal((3, 6))
+    with np.errstate(over="ignore"):
+        _, proj, _ = enc.forward(params, x, training=True)
+    # x / inf would be a finite zero row; the projection marks it instead
+    assert np.all(np.isnan(proj))
+
+
 def test_input_shape_validation():
     enc = Encoder(small_mlp_cfg())
     params = enc.init_params(15)

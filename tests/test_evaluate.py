@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from synthrep.encoder import Encoder, EncoderConfig
 from synthrep.evaluate import (
@@ -17,6 +18,7 @@ from synthrep.evaluate import (
     save_features,
     stratified_split,
 )
+from synthrep.evaluate import _logsumexp_rows
 
 
 def clustered(num_classes, per_class, dim, spread, seed):
@@ -111,6 +113,42 @@ def test_fit_logreg_golden_bits(k, lam):
     assert digest == GOLDEN_LOGREG[(k, lam)]
 
 
+def _lse_cases():
+    rng = np.random.default_rng(12)
+    ties = rng.integers(-2, 3, size=(40, 6)).astype(float)  # many tied maxima
+    huge = rng.standard_normal((20, 5)) * 1e300
+    huge[:, 0] = 1.7976931348623157e308
+    inf_rows = np.array(
+        [
+            [np.inf, 1.0, -2.0],
+            [np.inf, np.inf, 0.0],
+            [-np.inf, 1.0, -2.0],
+            [-np.inf, -np.inf, -np.inf],
+            [np.inf, -np.inf, 3.0],
+            [-np.inf, 5.0, 5.0],
+        ]
+    )
+    return {
+        "random": rng.standard_normal((400, 10)) * 3.0,
+        "two_columns": rng.standard_normal((300, 2)),
+        "tied_maxima": ties,
+        "all_equal": np.full((7, 10), 0.25),
+        "zeros": np.zeros((5, 4)),
+        "large_magnitude": np.concatenate([huge, -huge, rng.standard_normal((8, 5)) * 700]),
+        "infinite": inf_rows,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_lse_cases()))
+def test_logsumexp_rows_matches_scipy_bit_for_bit(case):
+    z = _lse_cases()[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = logsumexp(z, axis=1)
+    got = _logsumexp_rows(z)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_stratified_split_properties():
     labels = np.repeat([0, 1, 2], [40, 25, 10])
     fit_rows, val_rows = stratified_split(labels, 0.2, seed=5)
@@ -188,6 +226,15 @@ def test_fewshot_separable_and_error_paths():
         fewshot_eval(x, y, EpisodeSpec(ways=5, shots=2, queries_per_class=5, episodes=2))
     with pytest.raises(ValueError):
         fewshot_eval(x, y, EpisodeSpec(ways=3, shots=6, queries_per_class=5, episodes=2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fewshot_refuses_non_finite_features(value):
+    x, y = clustered(4, 10, 5, spread=0.05, seed=6)
+    x[7, 2] = value
+    spec = EpisodeSpec(ways=3, shots=2, queries_per_class=5, episodes=20, seed=1)
+    with pytest.raises(ValueError, match="features must be finite"):
+        fewshot_eval(x, y, spec)
 
 
 def test_fewshot_random_features_sit_at_chance():

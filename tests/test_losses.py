@@ -198,6 +198,10 @@ def test_validation_errors():
     zero_row[1] = 0.0
     with pytest.raises(ValueError):
         multi_positive_loss(EmbeddingBatch(zero_row, ids), tau=0.5, normalize=True)
+    nan_row = e.copy()
+    nan_row[2] = np.nan
+    with pytest.raises(ValueError, match="unit norm"):
+        multi_positive_loss(EmbeddingBatch(nan_row, ids), tau=0.5)
 
 
 def test_pair_loss_symmetric_when_encoders_agree():

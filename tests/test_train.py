@@ -285,6 +285,21 @@ def test_divergence_is_reported():
         np.testing.assert_array_equal(ts.params[k], v)
 
 
+def test_overflowing_embeddings_are_reported_as_divergence():
+    # a huge learning rate overflows the projection head within a few steps;
+    # the step is refused before the loss sees the embeddings
+    trainer = Trainer(toy_manifest(), tiny_cfg(base_lr=1e12, epochs=6))
+    ts = trainer.init_state()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as exc:
+            trainer.run(ts)
+    msg = str(exc.value)
+    assert "embeddings" in msg
+    assert f"step {ts.step};" in msg
+    assert f"lr={lr_at(ts.step, trainer.cfg, trainer.steps_per_epoch):.3g}" in msg
+    assert ts.step > 0 and ts.opt.step == ts.step
+
+
 def test_grad_clip_bounds_update_norm():
     man = toy_manifest()
     clip = 1e-3
@@ -477,6 +492,69 @@ def test_checkpoint_missing_header_field_is_named(tmp_path, where, field):
         load_checkpoint(str(path))
     assert str(path) in str(exc.value)
     assert repr(field) in str(exc.value)
+
+
+def _rewrite_arrays(path, raw, edit):
+    """Rewrite the checkpoint's arrays: edit(arrays) mutates a name -> array dict."""
+    blob_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + blob_len])
+    arrays, offset = {}, 16 + blob_len
+    for spec in header["arrays"]:
+        dtype = np.dtype(spec["dtype"])
+        count = int(np.prod(spec["shape"]))
+        arrays[spec["name"]] = np.frombuffer(
+            raw, dtype=dtype, count=count, offset=offset
+        ).reshape(spec["shape"])
+        offset += count * dtype.itemsize
+    edit(arrays)
+    header["arrays"] = [
+        {"name": k, "dtype": v.dtype.str, "shape": list(v.shape)} for k, v in arrays.items()
+    ]
+    blob = json.dumps(header).encode("utf-8")
+    body = b"".join(np.ascontiguousarray(v).tobytes() for v in arrays.values())
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + body)
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("params/img.head.l2.W", None),
+        ("params/img.head.l3.W", lambda _: np.zeros(3)),
+        ("opt_m/img.head.l2.W", lambda v: v[:, :-1]),
+        ("params/img.head.l2.b", lambda v: v.astype(np.float32)),
+        ("norm/img.head.n0.var", lambda v: v[:1]),
+        ("norm/img.head.n1.mean", lambda v: v.astype(">f8")),
+    ],
+    ids=["missing", "extra", "shape", "dtype", "norm_shape", "norm_byte_order"],
+)
+def test_checkpoint_arrays_must_match_the_config_layout(tmp_path, name, change):
+    path, raw, _, _ = _saved_checkpoint(tmp_path)
+
+    def edit(arrays):
+        if change is None:
+            del arrays[name]
+        else:
+            arrays[name] = change(arrays.get(name))
+
+    _rewrite_arrays(path, raw, edit)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+    assert repr(name) in str(exc.value)
+
+
+def test_checkpoint_layout_covers_the_text_tower(tmp_path):
+    man = toy_manifest()
+    cfg = tiny_cfg(loss_variant="multi_positive_text", text_encoder=text_encoder_cfg(), epochs=1)
+    trainer = Trainer(man, cfg)
+    ts = trainer.init_state()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), cfg, ts, None)
+    assert load_checkpoint(str(path))[1].params.keys() == ts.params.keys()
+    raw = path.read_bytes()
+    _rewrite_arrays(path, raw, lambda a: a.pop("opt_v/txt.head.l0.b"))
+    with pytest.raises(ValueError, match="'opt_v/txt.head.l0.b'"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
