@@ -119,9 +119,9 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise log(sum(exp(z))) of a 2-D float64 array.
 
     The algorithm of scipy 1.17's `logsumexp(z, axis=1)`, bit for bit: the m
-    tied row maxima are left out of the shifted sum s and come back as
-    log1p(s / m) + log(m) + max, and rows whose result is not finite fall
-    back to log(sum(exp(z))).
+    tied row maxima are left out of the shifted sum, which is divided by m to
+    give s, and the result is log1p(s) + log(m) + max; rows whose result is
+    not finite fall back to log(sum(exp(z))).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(z, axis=1, keepdims=True)
