@@ -366,6 +366,8 @@ def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, 
     root, cfg = workdir
     man = read_manifest(os.path.join(generated, "manifest.jsonl"))
     feats = tmp_path / "features.jsonl"
+    # json.dumps writes NaN, which load_features reads; save_features writes
+    # nan, which no JSON reader accepts
     with open(feats, "w") as fh:
         for i in range(man.num_samples):
             row = [float("nan") if i == 3 else float(v) for v in man.features[i]]
