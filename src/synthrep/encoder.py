@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .seeding import SALT_INIT, rng_from
 
@@ -110,12 +109,20 @@ def _affine_bwd(dy, cache):
     return dx, dw, db
 
 
+def _erf(x):
+    # imported on the first GELU, so commands that never run an encoder
+    # (generate, report) do not pay for loading scipy.special
+    from scipy.special import erf
+
+    return erf(x)
+
+
 def _gelu_fwd(x):
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2)), x
+    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2)), x
 
 
 def _gelu_bwd(dy, x):
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
     return dy * (cdf + x * pdf)
 

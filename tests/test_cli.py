@@ -205,6 +205,22 @@ def test_error_record_is_json(workdir, capsys, tmp_path):
     assert not os.path.exists(out + ".partial")
 
 
+def _fresh_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this checkout's synthrep."""
+    src = os.path.dirname(os.path.dirname(synthrep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(SEED_ENV_VAR, None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True
+    )
+
+
+def _fresh_stdout(*args: str, cwd=None) -> str:
+    done = _fresh_python(*args, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _single_json_error(capsys, command):
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert len(err_lines) == 1
@@ -383,13 +399,57 @@ def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # commands that never fit a classifier should not pay for scipy.optimize
-    src = os.path.dirname(os.path.dirname(synthrep.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, synthrep.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert _fresh_stdout("-c", probe).strip() == "False"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special (erf, for the GELU) loads at the first encoder forward
+    probe = "import sys, synthrep.cli; print('scipy.special' in sys.modules)"
+    assert _fresh_stdout("-c", probe).strip() == "False"
+
+
+def test_generate_and_report_load_no_scipy_submodule(workdir, generated, eval_generated, tmp_path):
+    root, cfg = workdir
+    report = str(tmp_path / "probe")
+    code = main(
+        ["probe", "--config", cfg, "--seed", "5",
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--eval-data", os.path.join(eval_generated, "manifest.jsonl"), "--out", report]
     )
-    assert done.stdout.strip() == "False"
+    assert code == 0
+    script = (
+        "import sys\n"
+        "from synthrep.cli import main\n"
+        "cfg, report = sys.argv[1:]\n"
+        "assert main(['generate', '--config', cfg, '--seed', '5', '--out', 'data']) == 0\n"
+        "assert main(['report', '--inputs', report, '--out', 'rendered']) == 0\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    out = _fresh_stdout("-c", script, cfg, os.path.join(report, "report.json"), cwd=tmp_path)
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "data" / "manifest.jsonl").exists()
+    assert (tmp_path / "rendered").is_dir()
+
+
+# sha256 of checkpoint.bin from `train` on TINY with seed 5, taken while
+# scipy.special was still imported with the encoder module
+_TINY_CHECKPOINT_SHA256 = "d16267a8c19065d6c2848a8fb72c357520333d109641bc103f8f62793886dca3"
+
+
+def test_train_in_fresh_process_keeps_checkpoint_bits(workdir, tmp_path):
+    root, cfg = workdir
+    script = (
+        "import hashlib, sys\n"
+        "from synthrep.cli import main\n"
+        "cfg = sys.argv[1]\n"
+        "assert main(['generate', '--config', cfg, '--seed', '5', '--out', 'data']) == 0\n"
+        "assert main(['train', '--config', cfg, '--seed', '5',\n"
+        "             '--data', 'data/manifest.jsonl', '--out', 'run']) == 0\n"
+        "print(hashlib.sha256(open('run/checkpoint.bin', 'rb').read()).hexdigest())\n"
+    )
+    out = _fresh_stdout("-c", script, cfg, cwd=tmp_path)
+    assert out.splitlines()[-1] == _TINY_CHECKPOINT_SHA256
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])
