@@ -166,7 +166,10 @@ def _resolve_seed(ns: argparse.Namespace, cfg: dict) -> int:
             return int(env)
         except ValueError as exc:
             raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return int(cfg.get("seed", 0))
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CliError(f"config seed must be an integer, got {json.dumps(seed)}")
+    return seed
 
 
 # -- artifact staging -----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Dataset container and its JSONL on-disk format.
 
 A manifest is a header line describing the generator configuration followed
-by one JSON record per sample. Floats are written with 17 significant digits,
-which is enough to reproduce every float64 bit-exactly, so write -> read ->
-write produces byte-identical files. No timestamps or environment-dependent
-values are stored.
+by one JSON record per sample. The header carries `DatasetManifest.hash()`,
+and `read_manifest` refuses a file whose rows do not match it. Floats are
+written with 17 significant digits, which is enough to reproduce every
+float64 bit-exactly, so write -> read -> write produces byte-identical files.
+No timestamps or environment-dependent values are stored.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
                 "config": manifest.config.to_dict(),
                 "master_seed": int(manifest.master_seed),
                 "config_hash": config_hash(manifest.config, manifest.master_seed),
+                "content_hash": manifest.hash(),
                 "num_samples": manifest.num_samples,
                 "sampler": manifest.sampler,
             }
@@ -182,6 +184,7 @@ def read_manifest(path: str) -> DatasetManifest:
     cfg = _read_field(header, "config", GeneratorConfig.from_dict, path)
     n = _read_field(header, "num_samples", int, path)
     master_seed = _read_field(header, "master_seed", int, path)
+    content_hash = _read_field(header, "content_hash", str, path)
     records = lines[1:]
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
@@ -221,4 +224,6 @@ def read_manifest(path: str) -> DatasetManifest:
     )
     if header.get("config_hash") != config_hash(cfg, master_seed):
         raise ValueError(f"{path}: config hash mismatch")
+    if manifest.hash() != content_hash:
+        raise ValueError(f"{path}: content hash mismatch")
     return manifest

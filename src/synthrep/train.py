@@ -335,68 +335,71 @@ class Trainer:
     # -- one optimization step ---------------------------------------------------
 
     def train_step(self, ts: TrainState) -> dict:
-        cfg = self.cfg
-        lr = lr_at(ts.step, cfg, self.steps_per_epoch)
-        batch, texts = self.assemble(ts.step)
+        # divergence is detected explicitly below (embeddings, loss, grad norm),
+        # so numpy's overflow warnings would only precede the error on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = self.cfg
+            lr = lr_at(ts.step, cfg, self.steps_per_epoch)
+            batch, texts = self.assemble(ts.step)
 
-        img_params = sub_params(ts.params, "img.")
-        img_state = sub_params(ts.norm_state, "img.")
-        _, proj, tape = self.image_enc.forward(
-            img_params, batch.features, state=img_state, training=True, update_running=True
-        )
-        self._check_finite("image", proj, ts.step, lr)
-
-        grads: dict[str, np.ndarray] = {}
-        if cfg.uses_text:
-            txt_params = sub_params(ts.params, "txt.")
-            txt_state = sub_params(ts.norm_state, "txt.")
-            _, tproj, ttape = self.text_enc.forward(
-                txt_params, texts, state=txt_state, training=True, update_running=True
+            img_params = sub_params(ts.params, "img.")
+            img_state = sub_params(ts.norm_state, "img.")
+            _, proj, tape = self.image_enc.forward(
+                img_params, batch.features, state=img_state, training=True, update_running=True
             )
-            self._check_finite("text", tproj, ts.step, lr)
-            cids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
-            if cfg.loss_variant == "pair_only":
-                out = pair_contrastive_loss(proj, tproj, cfg.tau)
-                loss = 0.5 * (out.loss_i2t + out.loss_t2i)
-                grad_proj = 0.5 * out.grad_image
-                grad_tproj = 0.5 * out.grad_text
-            else:
-                out = multi_positive_with_text_loss(
-                    EmbeddingBatch(proj, batch.caption_ids), tproj, cids, cfg.tau
+            self._check_finite("image", proj, ts.step, lr)
+
+            grads: dict[str, np.ndarray] = {}
+            if cfg.uses_text:
+                txt_params = sub_params(ts.params, "txt.")
+                txt_state = sub_params(ts.norm_state, "txt.")
+                _, tproj, ttape = self.text_enc.forward(
+                    txt_params, texts, state=txt_state, training=True, update_running=True
                 )
-                loss = out.total
-                grad_proj = out.grad_images
-                grad_tproj = out.grad_texts
-            for k, v in self.text_enc.backward(txt_params, ttape, grad_tproj).items():
-                grads["txt." + k] = v
-        else:
-            out = multi_positive_loss(EmbeddingBatch(proj, batch.caption_ids), cfg.tau)
-            loss = out.loss
-            grad_proj = out.grad_embeddings
+                self._check_finite("text", tproj, ts.step, lr)
+                cids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
+                if cfg.loss_variant == "pair_only":
+                    out = pair_contrastive_loss(proj, tproj, cfg.tau)
+                    loss = 0.5 * (out.loss_i2t + out.loss_t2i)
+                    grad_proj = 0.5 * out.grad_image
+                    grad_tproj = 0.5 * out.grad_text
+                else:
+                    out = multi_positive_with_text_loss(
+                        EmbeddingBatch(proj, batch.caption_ids), tproj, cids, cfg.tau
+                    )
+                    loss = out.total
+                    grad_proj = out.grad_images
+                    grad_tproj = out.grad_texts
+                for k, v in self.text_enc.backward(txt_params, ttape, grad_tproj).items():
+                    grads["txt." + k] = v
+            else:
+                out = multi_positive_loss(EmbeddingBatch(proj, batch.caption_ids), cfg.tau)
+                loss = out.loss
+                grad_proj = out.grad_embeddings
 
-        for k, v in self.image_enc.backward(img_params, tape, grad_proj).items():
-            grads["img." + k] = v
+            for k, v in self.image_enc.backward(img_params, tape, grad_proj).items():
+                grads["img." + k] = v
 
-        grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-        if not np.isfinite(loss) or not np.isfinite(grad_norm):
-            raise TrainingDivergedError(
-                f"non-finite loss ({loss}) or gradient norm ({grad_norm}) at step "
-                f"{ts.step}; lr={lr:.3g}"
-            )
-        if cfg.grad_clip is not None and grad_norm > cfg.grad_clip:
-            scale = cfg.grad_clip / grad_norm
-            for g in grads.values():
-                g *= scale
+            grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+            if not np.isfinite(loss) or not np.isfinite(grad_norm):
+                raise TrainingDivergedError(
+                    f"non-finite loss ({loss}) or gradient norm ({grad_norm}) at step "
+                    f"{ts.step}; lr={lr:.3g}"
+                )
+            if cfg.grad_clip is not None and grad_norm > cfg.grad_clip:
+                scale = cfg.grad_clip / grad_norm
+                for g in grads.values():
+                    g *= scale
 
-        adamw_step(ts.params, grads, ts.opt, lr, cfg.betas, cfg.weight_decay)
-        ts.step += 1
-        return {
-            "step": ts.step,
-            "epoch_equiv": ts.step / self.steps_per_epoch,
-            "loss": float(loss),
-            "lr": float(lr),
-            "grad_norm": grad_norm,
-        }
+            adamw_step(ts.params, grads, ts.opt, lr, cfg.betas, cfg.weight_decay)
+            ts.step += 1
+            return {
+                "step": ts.step,
+                "epoch_equiv": ts.step / self.steps_per_epoch,
+                "loss": float(loss),
+                "lr": float(lr),
+                "grad_norm": grad_norm,
+            }
 
     @staticmethod
     def _check_finite(tower: str, proj: np.ndarray, step: int, lr: float) -> None:

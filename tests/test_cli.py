@@ -158,6 +158,16 @@ def test_seed_resolution_order(workdir, monkeypatch):
     assert json.load(open(os.path.join(out_default, "provenance.json")))["seed"] == 0
 
 
+@pytest.mark.parametrize("value", ["null", '"5"', "[1]", "1.5", "true"])
+def test_non_integer_config_seed_is_json_error(workdir, capsys, tmp_path, value):
+    root, cfg = workdir
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    assert main(["generate", "--config", cfg, "--out", out, "--set", f"seed={value}"]) == 1
+    assert "config seed must be an integer" in _single_json_error(capsys, "generate")
+    assert not os.path.exists(out)
+
+
 def test_train_outputs_and_rerun(workdir, generated, trained):
     root, cfg = workdir
     assert sorted(os.listdir(trained)) == [
@@ -242,6 +252,22 @@ def test_train_on_manifest_without_config_is_json_error(workdir, generated, caps
     assert code == 1
     error = _single_json_error(capsys, "train")
     assert str(bad) in error and "'config'" in error
+    assert not os.path.exists(out)
+
+
+def test_train_on_edited_manifest_is_json_error(workdir, generated, capsys, tmp_path):
+    root, cfg = workdir
+    lines = open(os.path.join(generated, "manifest.jsonl")).read().splitlines()
+    rec = json.loads(lines[1])
+    rec["feature"][0] += 1.0
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["train", "--config", cfg, "--data", str(bad), "--out", out])
+    assert code == 1
+    error = _single_json_error(capsys, "train")
+    assert str(bad) in error and "content hash mismatch" in error
     assert not os.path.exists(out)
 
 
@@ -330,7 +356,7 @@ def test_probe_checkpoint_without_an_array_is_json_error(
     assert not os.path.exists(out)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_is_json_error(workdir, generated, capsys, tmp_path):
     root, cfg = workdir
     out = str(tmp_path / "never")
@@ -344,6 +370,28 @@ def test_train_divergence_is_json_error(workdir, generated, capsys, tmp_path):
     error = _single_json_error(capsys, "train")
     assert "non-finite" in error and "step" in error and "lr=" in error
     assert not os.path.exists(out)
+
+
+def test_diverging_train_writes_one_stderr_line(tmp_path):
+    # numpy overflow warnings from the diverging forward pass must not
+    # precede the documented JSON error line; a fresh process, because
+    # pytest would capture the warnings before they reach stderr
+    data = str(tmp_path / "data")
+    code = main(
+        ["generate", "--seed", "5", "--out", data,
+         "--set", "data.num_captions=100", "--set", "data.images_per_caption=6"]
+    )
+    assert code == 0
+    done = _fresh_python(
+        "-m", "synthrep.cli", "train", "--seed", "5",
+        "--data", os.path.join(data, "manifest.jsonl"), "--out", str(tmp_path / "run"),
+        "--set", "train.epochs=6", "--set", "train.base_lr=1e12",
+    )
+    assert done.returncode == 1
+    err_lines = done.stderr.splitlines()
+    assert len(err_lines) == 1, done.stderr
+    rec = json.loads(err_lines[0])
+    assert rec["command"] == "train" and "non-finite" in rec["error"]
 
 
 # each section with a command that reads it

@@ -58,6 +58,26 @@ def test_rewrite_after_read_is_byte_identical(tmp_path):
     write_manifest(man, str(p1))
     write_manifest(read_manifest(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+    header = json.loads(p1.read_text().splitlines()[0])
+    assert header["content_hash"] == man.hash()
+
+
+@pytest.mark.parametrize("field", ["feature", "guidance_scale"])
+def test_read_rejects_edited_row_value(tmp_path, field):
+    # each value on its own parses fine; only the header's content hash
+    # shows that the file is not what write_manifest wrote
+    p = tmp_path / "m.jsonl"
+    write_manifest(make_manifest(), str(p))
+    lines = p.read_text().splitlines()
+    rec = json.loads(lines[2])
+    if field == "feature":
+        rec["feature"][1] += 1.0
+    else:
+        rec["guidance_scale"] += 1.0
+    p.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="content hash mismatch") as exc:
+        read_manifest(str(p))
+    assert str(p) in str(exc.value)
 
 
 def test_hash_distinguishes_content():
@@ -135,7 +155,7 @@ def test_read_names_missing_or_mistyped_fields(tmp_path):
         assert str(bad) in str(exc.value)
         assert repr(field) in str(exc.value)
 
-    for field in ("config", "num_samples", "master_seed"):
+    for field in ("config", "num_samples", "master_seed", "content_hash"):
         rejects({k: v for k, v in header.items() if k != field}, lines[1:], field)
     rejects({**header, "config": {**header["config"], "bogus": 1}}, lines[1:], "config")
     rejects({**header, "config": [1, 2]}, lines[1:], "config")
