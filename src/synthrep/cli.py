@@ -35,7 +35,14 @@ from .evaluate import (
     stratified_split,
 )
 from .generator import GeneratorConfig, generate_dataset
-from .manifest import canonical_json, json_digest, read_manifest, write_manifest
+from .manifest import (
+    _of_type,
+    _read_field,
+    canonical_json,
+    json_digest,
+    read_manifest,
+    write_manifest,
+)
 from .report import emit_report
 from .seeding import derive_u64
 from .train import (
@@ -585,27 +592,47 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _read_report(path: str) -> tuple[EvalReport, object]:
+    """The EvalReport in a report.json, and its sweep axis value ("" if none)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise CliError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CliError(f"{path}: a report must hold a JSON object")
+    record = {"config": {}, "details": {}, "dataset_id": "", "checkpoint_id": "", **payload}
+    number = _of_type(int, float)
+    fields = {
+        "kind": _of_type(str),
+        "accuracy": number,
+        "ci95": number,
+        "count": _of_type(int),
+        "config": _of_type(dict),
+        "details": _of_type(dict),
+        "dataset_id": _of_type(str),
+        "checkpoint_id": _of_type(str),
+    }
+    args = {
+        name: _read_field(record, name, convert, path, "report")
+        for name, convert in fields.items()
+    }
+    try:
+        report = EvalReport(**args)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    return report, payload.get("value", "")
+
+
 def _cmd_report(ns: argparse.Namespace) -> int:
     paths = [p.strip() for p in ns.inputs.split(",") if p.strip()]
     if not paths:
         raise CliError("--inputs must list report JSON files")
     reports, values = [], []
     for p in paths:
-        with open(p, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        values.append(payload.get("value", ""))
-        reports.append(
-            EvalReport(
-                kind=payload["kind"],
-                accuracy=payload["accuracy"],
-                ci95=payload["ci95"],
-                count=payload["count"],
-                config=payload.get("config", {}),
-                details=payload.get("details", {}),
-                dataset_id=payload.get("dataset_id", ""),
-                checkpoint_id=payload.get("checkpoint_id", ""),
-            )
-        )
+        report, value = _read_report(p)
+        reports.append(report)
+        values.append(value)
     axis_values = values
     if ns.values:
         axis_values = [v.strip() for v in ns.values.split(",")]

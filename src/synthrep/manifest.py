@@ -167,8 +167,21 @@ def _read_field(record: dict, name: str, convert, path: str, where: str = "heade
         return convert(record[name])
     except KeyError:
         raise ValueError(f"{path}: {where} has no field {name!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {where} field {name!r} is invalid: {exc}") from None
+
+
+def _of_type(*types):
+    """A `_read_field` converter that passes JSON values of `types` through
+    and refuses any other, a boolean among them."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            names = " or ".join(t.__name__ for t in types)
+            raise TypeError(f"expected {names}, got {type(value).__name__}")
+        return value
+
+    return convert
 
 
 def read_manifest(path: str) -> DatasetManifest:

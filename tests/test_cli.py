@@ -8,7 +8,7 @@ import pytest
 
 import synthrep
 from synthrep.cli import SEED_ENV_VAR, main
-from synthrep.evaluate import save_features
+from feature_files import save_features
 from synthrep.manifest import read_manifest
 from synthrep.train import load_checkpoint, save_checkpoint
 
@@ -451,6 +451,27 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert _fresh_stdout("-c", probe).strip() == "False"
 
 
+def test_probe_and_fewshot_load_no_scipy_optimize(workdir, generated, eval_generated, tmp_path):
+    # the batched numpy solver replaced scipy.optimize.minimize
+    root, cfg = workdir
+    script = (
+        "import sys\n"
+        "from synthrep.cli import main\n"
+        "cfg, data, evl = sys.argv[1:]\n"
+        "assert main(['probe', '--config', cfg, '--seed', '5', '--data', data,\n"
+        "             '--eval-data', evl, '--out', 'probe']) == 0\n"
+        "assert main(['fewshot', '--config', cfg, '--seed', '5', '--data', data,\n"
+        "             '--out', 'fewshot']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    data = os.path.join(generated, "manifest.jsonl")
+    evl = os.path.join(eval_generated, "manifest.jsonl")
+    out = _fresh_stdout("-c", script, cfg, data, evl, cwd=tmp_path)
+    assert out.splitlines()[-1] == "False"
+    assert (tmp_path / "probe" / "report.json").exists()
+    assert (tmp_path / "fewshot" / "report.json").exists()
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special (erf, for the GELU) loads at the first encoder forward
     probe = "import sys, synthrep.cli; print('scipy.special' in sys.modules)"
@@ -581,6 +602,62 @@ def test_probe_feature_file_path(workdir, generated, eval_generated, tmp_path):
 
     assert main(["probe", "--config", cfg, "--train-features", tr, "--out", out]) == 1
     assert main(["probe", "--config", cfg, "--out", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"sample_id": 0, "feature": [1.0, 2.0, 3.0, 4.0]}, "has no field 'class_id'"),
+        ([1, 2], "is not a JSON object"),
+        ({"sample_id": 0, "class_id": 0, "feature": [1.0]}, "field 'feature' has length 1"),
+    ],
+)
+def test_probe_bad_feature_record_is_json_error(
+    workdir, generated, capsys, tmp_path, record, message
+):
+    root, cfg = workdir
+    man = read_manifest(os.path.join(generated, "manifest.jsonl"))
+    good = tmp_path / "good.jsonl"
+    save_features(str(good), np.arange(man.num_samples), man.class_ids, man.features)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(good.read_text() + json.dumps(record) + "\n")
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["probe", "--config", cfg, "--train-features", str(bad), "--test-features",
+         str(good), "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "probe")
+    assert error.startswith(f"{bad}: line {man.num_samples + 1} ")
+    assert message in error
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"accuracy": 0.5}, "report has no field 'kind'"),
+        ([1], "a report must hold a JSON object"),
+        ({"kind": "fewshot", "accuracy": "high", "ci95": 0.1, "count": 4},
+         "report field 'accuracy' is invalid"),
+        ({"kind": "fewshot", "accuracy": 0.5, "ci95": 0.1, "count": 4, "details": []},
+         "report field 'details' is invalid"),
+        ({"kind": "fewshot", "accuracy": 1.5, "ci95": 0.1, "count": 4},
+         "accuracy must lie in [0, 1]"),
+    ],
+)
+def test_report_with_bad_payload_is_json_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    out = str(tmp_path / "rendered")
+    capsys.readouterr()
+    code = main(["report", "--inputs", str(path), "--out", out])
+    assert code == 1
+    error = _single_json_error(capsys, "report")
+    assert error.startswith(f"{path}: ")
+    assert message in error
+    assert not os.path.exists(out)
 
 
 def test_fewshot_command(workdir, generated):

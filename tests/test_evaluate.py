@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from feature_files import save_features
 from scipy.special import logsumexp
 
 from synthrep.encoder import Encoder, EncoderConfig
@@ -15,7 +16,6 @@ from synthrep.evaluate import (
     fit_logreg,
     linear_probe,
     load_features,
-    save_features,
     stratified_split,
 )
 from synthrep.evaluate import _logsumexp_rows
@@ -48,6 +48,11 @@ def test_probe_config_validation():
         ProbeConfig(max_iterations=0)
     with pytest.raises(ValueError):
         ProbeConfig(val_fraction=1.0)
+    with pytest.raises(ValueError):
+        ProbeConfig(reg_grid=np.array([-1.0, 1.0]))  # unbounded below
+    with pytest.raises(ValueError):
+        ProbeConfig(reg_grid=np.array([1.0, np.inf]))
+    assert ProbeConfig(reg_grid=np.array([0.0, 1.0])).reg_grid[0] == 0.0
 
 
 def test_episode_spec_validation():
@@ -55,6 +60,11 @@ def test_episode_spec_validation():
         EpisodeSpec(ways=0)
     with pytest.raises(ValueError):
         EpisodeSpec(reg_lambda=-1.0)
+    with pytest.raises(ValueError):
+        EpisodeSpec(reg_lambda=np.nan)
+    with pytest.raises(ValueError):
+        EpisodeSpec(max_iterations=0)
+    assert EpisodeSpec(reg_lambda=0.0, max_iterations=1).reg_lambda == 0.0
 
 
 def test_eval_report_validation():
@@ -93,15 +103,16 @@ def test_fit_logreg_huge_penalty_collapses_weights():
 
 # sha256 over the bytes of (W, b) from fit_logreg on clustered(K, 12, 6, 3.0,
 # seed 41) with max_iterations=200. Every L-BFGS iterate feeds the next, so
-# these pin the objective and gradient bits over whole trajectories, the zero
-# start included. Recorded with numpy 2.4 and scipy 1.17 on x86-64.
+# these pin the objective, gradient, line-search and update bits over whole
+# trajectories, the zero start included; (10, 1e-6) stops at the cap.
+# Recorded for the batched numpy solver with numpy 2.4 on x86-64.
 GOLDEN_LOGREG = {
-    (2, 1e-6): "a1a9d1f9ab65cf5af07e6655038d9fbc1fe85f87d60756eeca0220f61bd8c144",
-    (2, 1.0): "650be5fceea7a0c1f07a66cb5d3ed416617b28a8d635ba6d011176a08f10dbd6",
-    (2, 1e5): "3e64fe4718b1d2ee0d0a2a1a3dcb4df42e1ede26ac03ff513b6bdbab66821187",
-    (10, 1e-6): "27128f73735594d02e9f34dd91fd9232c6b3fa74c0389c13361f5e8c60060cb5",
-    (10, 1.0): "a4b4ed835c2daaa7bcafd1bc86166a1394bd916422be749f3e163b28b8ad194a",
-    (10, 1e5): "bf9a232d7c1cd851d8d148e59ae8d606c3badc4a91f865defa0dad8ffd62cd27",
+    (2, 1e-6): "713c178c3947c7fe8c3a1f1938611ab3ee76f7cb992f057f949f756112973c0f",
+    (2, 1.0): "f818759dfb17d12b6cfaa9a5b41b45256cfe7674065805bba1aadf95779221eb",
+    (2, 1e5): "9f8e2dd9e60574e603fabbcb443eb8622fc5940193ca5b06de4300021798ce21",
+    (10, 1e-6): "63641eb14f04ec37f5852137395fbc9e53aabd2944a720be9823d1fe9b772a0d",
+    (10, 1.0): "b4fbdf7a333dced06cd611c363c081ead2e91ca47c2e545bd6293d4dc3682e6e",
+    (10, 1e5): "f748d4977e59d72413fa42d556a79e5ac9afa641f62b017645afd065321dd706",
 }
 
 
@@ -111,6 +122,83 @@ def test_fit_logreg_golden_bits(k, lam):
     w, b, _ = fit_logreg(x, y, k, lam, max_iterations=200)
     digest = hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest()
     assert digest == GOLDEN_LOGREG[(k, lam)]
+
+
+def _bits(*arrays):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def test_fit_logreg_shared_features_batch_is_bitwise_single_fits():
+    x, y = clustered(4, 15, 6, spread=2.0, seed=51)
+    lams = np.array([0.0, 1e-4, 1e-2, 1.0, 1e3])
+    w, b, ok = fit_logreg(x, y, 4, lams, max_iterations=300)
+    assert w.shape == (5, 6, 4) and b.shape == (5, 4) and ok.shape == (5,)
+    for i, lam in enumerate(lams):
+        wi, bi, oki = fit_logreg(x, y, 4, lam, max_iterations=300)
+        assert wi.shape == (6, 4) and bi.shape == (4,) and oki.shape == ()
+        assert _bits(wi, bi) == _bits(w[i], b[i])
+        assert oki == ok[i]
+    sub, sub_b, _ = fit_logreg(x, y, 4, lams[[4, 1]], max_iterations=300)
+    assert _bits(sub, sub_b) == _bits(w[[4, 1]], b[[4, 1]])
+
+
+def test_fit_logreg_per_problem_batch_is_bitwise_single_fits():
+    x, y = clustered(4, 15, 6, spread=2.0, seed=52)
+    rng = np.random.default_rng(52)
+    pick = np.stack([rng.permutation(x.shape[0])[:20] for _ in range(6)])
+    xs, ys = x[pick], y[pick]
+    lams = np.linspace(0.0, 2.0, 6)
+    w, b, ok = fit_logreg(xs, ys, 4, lams, max_iterations=200)
+    assert w.shape == (6, 6, 4) and ok.all()
+    for i in range(6):
+        wi, bi, _ = fit_logreg(xs[i], ys[i], 4, lams[i], max_iterations=200)
+        assert _bits(wi, bi) == _bits(w[i], b[i])
+    rev, rev_b, _ = fit_logreg(xs[::-2], ys[::-2], 4, lams[::-2], max_iterations=200)
+    assert _bits(rev, rev_b) == _bits(w[::-2], b[::-2])
+
+
+def test_fit_logreg_max_iterations_caps_each_problem():
+    x, y = clustered(3, 20, 5, spread=1.0, seed=53)
+    lams = np.array([1e-6, 1.0])
+    _, _, ok = fit_logreg(x, y, 3, lams, max_iterations=1)
+    assert not ok.any()
+    _, _, ok = fit_logreg(x, y, 3, lams, max_iterations=500)
+    assert ok.all()
+
+
+@pytest.mark.parametrize(
+    "seed, k, spread, lam",
+    [(61, 2, 3.0, 1e-3), (62, 3, 3.0, 0.1), (63, 5, 3.0, 1.0), (64, 4, 8.0, 0.0)],
+)
+def test_fit_logreg_agrees_with_scipy_lbfgsb(seed, k, spread, lam):
+    from scipy.optimize import minimize
+
+    x, y = clustered(k, 15, 6, spread=spread, seed=seed)
+    n, d = x.shape
+    onehot = np.eye(k)[y]
+
+    def objective(theta):
+        w, b = theta[: d * k].reshape(d, k), theta[d * k :]
+        logits = x @ w + b
+        lse = logsumexp(logits, axis=1)
+        g = (np.exp(logits - lse[:, None]) - onehot) / n
+        loss = np.mean(lse - logits[np.arange(n), y]) + 0.5 * lam * np.sum(w * w)
+        return loss, np.concatenate([(x.T @ g + lam * w).ravel(), g.sum(axis=0)])
+
+    ref = minimize(
+        objective, np.zeros(d * k + k), jac=True, method="L-BFGS-B",
+        options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-10},
+    )
+    w, b, ok = fit_logreg(x, y, k, lam)
+    assert ok
+    got = objective(np.concatenate([w.ravel(), b]))[0]
+    # the stopping rule bounds the last decrease, not the distance to the
+    # optimum; scipy at its default tolerances lands 2.1e-7 off on seed 61
+    assert abs(got - ref.fun) <= 1e-6 * max(1.0, abs(ref.fun))
+    ref_w, ref_b = ref.x[: d * k].reshape(d, k), ref.x[d * k :]
+    np.testing.assert_array_equal(
+        np.argmax(x @ w + b, axis=1), np.argmax(x @ ref_w + ref_b, axis=1)
+    )
 
 
 def _lse_cases():
@@ -285,3 +373,28 @@ def test_feature_io_round_trip(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_features(str(empty))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"sample_id":0,"feature":[1.0]}\n', "line 1 has no field 'class_id'"),
+        ("[1, 2]\n", "line 1 is not a JSON object"),
+        (
+            '{"sample_id":0,"class_id":0,"feature":[1.0]}\n\n'
+            '{"sample_id":1,"class_id":1,"feature":[1.0,2.0]}\n',
+            "line 3 field 'feature' has length 2, expected 1",
+        ),
+        ('{"sample_id":0,"class_id":1.5,"feature":[1.0]}\n', "line 1 field 'class_id' is invalid"),
+        ('{"sample_id":true,"class_id":1,"feature":[1.0]}\n', "line 1 field 'sample_id' is invalid"),
+        ('{"sample_id":0,"class_id":0,"feature":[[1.0]]}\n', "line 1 field 'feature' is invalid"),
+        ('{"sample_id":0,"class_id":0,"feature":"1.0"}\n', "line 1 field 'feature' is invalid"),
+        ('{"sample_id":0,"class_id":0,"feature":[1.0]\n', "line 1 is not JSON"),
+    ],
+)
+def test_load_features_names_file_line_and_field(tmp_path, text, message):
+    path = tmp_path / "f.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_features(str(path))
+    assert str(info.value).startswith(f"{path}: {message}")
