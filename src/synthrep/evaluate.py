@@ -154,7 +154,7 @@ def fit_logreg(
     features: np.ndarray,
     labels: np.ndarray,
     num_classes: int,
-    reg_lambda,
+    reg_lambda: float | np.ndarray,
     max_iterations: int = 500,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multinomial logistic regression for a batch of independent problems.
