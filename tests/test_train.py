@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -575,3 +576,68 @@ def test_write_metrics_round_trips_exact_floats(tmp_path):
     assert parsed["loss"] == math.pi
     assert parsed["epoch_equiv"] == 1 / 3
     assert parsed["lr"] == 1e-7
+
+
+# -- golden train state -----------------------------------------------------------
+#
+# sha256 over save_checkpoint bytes then write_metrics bytes after 30 steps
+# on a 40-caption x 6 manifest. They pin params, Adam moments, norm state and
+# every metrics line, so a refactor of the step or the checkpoint format
+# that changes a single output bit fails here.
+
+_GOLDEN_TRAIN_STATE_SHA256 = {
+    "multi_positive_c120": "0f6db35606ab358633d4e4d30b88ad337c62f85af406b4b87aa7c5d5845c2e5e",
+    "simclr_reduction_c40": "8c8f90839f43521881ec244ba8041b97bab251a771a54eaba94763739d3b5538",
+    "multi_positive_text": "d78db0aa922e063120130d2f139f7f81cf75c89de0014f8a9c7d31717f8e1ced",
+    "pair_only": "301fee72def6ae319637fe55d3d2e1e0db8c76e960cca2c1ae5d1f64f8eab69a",
+    "transformer": "8e5fec2760f26d1830b4f55c93231398e4b91e35ba97df0849ed4fb861bff33f",
+    "grad_clip_per_sample": "84d485476a8c2a81ecbf06a776bbf928ee8676dfa6d3ffad3d7e50f38b8ce3f8",
+}
+
+_GOLDEN_CONFIGS = {
+    "multi_positive_c120": dict(batch_spec=BatchSpec(20, 6), epochs=45),
+    "simclr_reduction_c40": dict(
+        loss_variant="simclr_reduction", batch_spec=BatchSpec(20, 2), epochs=15
+    ),
+    "multi_positive_text": dict(
+        loss_variant="multi_positive_text",
+        batch_spec=BatchSpec(10, 4),
+        epochs=15,
+        text_encoder=EncoderConfig(),
+    ),
+    "pair_only": dict(
+        loss_variant="pair_only",
+        batch_spec=BatchSpec(20, 1),
+        epochs=8,
+        text_encoder=EncoderConfig(),
+    ),
+    "transformer": dict(
+        batch_spec=BatchSpec(10, 4), epochs=15, encoder=EncoderConfig(backbone="transformer")
+    ),
+    "grad_clip_per_sample": dict(
+        batch_spec=BatchSpec(10, 4),
+        epochs=15,
+        grad_clip=2.0,
+        encoder=EncoderConfig(head_norm="per_sample"),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_manifest():
+    gcfg = GeneratorConfig(feature_dim=32, num_classes=5, ddim_steps=5)
+    recs = synth_captions(40, 5, seed=4)
+    return generate_dataset([r.prompt for r in recs], 6, gcfg, seed=8)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
+def test_train_state_after_30_steps_keeps_its_bits(golden_manifest, tmp_path, name):
+    cfg = TrainConfig(seed=11, **_GOLDEN_CONFIGS[name])
+    trainer = Trainer(golden_manifest, cfg)
+    ts = trainer.init_state()
+    metrics = [trainer.train_step(ts) for _ in range(30)]
+    ckpt, lines = tmp_path / "ckpt.bin", tmp_path / "metrics.jsonl"
+    save_checkpoint(str(ckpt), cfg, ts, {"dataset_hash": golden_manifest.hash()})
+    write_metrics(str(lines), metrics)
+    digest = hashlib.sha256(ckpt.read_bytes() + lines.read_bytes()).hexdigest()
+    assert digest == _GOLDEN_TRAIN_STATE_SHA256[name]
