@@ -11,6 +11,7 @@ record to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -38,6 +39,7 @@ from .generator import GeneratorConfig, generate_dataset
 from .manifest import (
     _of_type,
     _read_field,
+    _read_text,
     canonical_json,
     json_digest,
     read_manifest,
@@ -50,7 +52,6 @@ from .train import (
     load_checkpoint,
     run_training,
     sub_params,
-    train_config_hash,
 )
 
 __all__ = ["main"]
@@ -148,11 +149,7 @@ def _apply_override(cfg: dict, path: list[str], value) -> None:
 def _resolve_config(ns: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise CliError(f"{ns.config}: a config file must hold a JSON object")
-        cfg = _deep_update(cfg, loaded)
+        cfg = _deep_update(cfg, _read_text(ns.config, "object", "a config file"))
     for expr in getattr(ns, "set", None) or []:
         path, value = _parse_override(expr)
         _apply_override(cfg, path, value)
@@ -323,6 +320,15 @@ def _encoder_from_checkpoint(path: str):
     return enc, params, state, meta
 
 
+def _checkpoint_id(path: str | None) -> str:
+    """sha256 of a checkpoint's bytes, so a report names what it scored;
+    "" when features come without a checkpoint."""
+    if not path:
+        return ""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _features_from(manifest_path: str, checkpoint: str | None):
     manifest = read_manifest(manifest_path)
     if checkpoint is None:
@@ -391,7 +397,7 @@ def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
         dataset_id = train_hash
     report = linear_probe(train_x, train_y, test_x, test_y, _probe_config(cfg, seed))
     report.dataset_id = dataset_id
-    report.checkpoint_id = ns.checkpoint or ""
+    report.checkpoint_id = _checkpoint_id(ns.checkpoint)
     return report
 
 
@@ -436,7 +442,7 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
             feats, labels, dataset_id = _features_from(ns.data, ns.checkpoint)
         report = fewshot_eval(feats, labels, spec)
         report.dataset_id = dataset_id
-        report.checkpoint_id = ns.checkpoint or ""
+        report.checkpoint_id = _checkpoint_id(ns.checkpoint)
         cfg_hash = _write_provenance(staging.path("provenance.json"), "fewshot", cfg, seed)
         payload = report.to_dict()
         payload["config_hash"] = cfg_hash
@@ -563,7 +569,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                 _probe_config(cell, seed),
             )
             report.dataset_id = manifest.hash()
-            report.checkpoint_id = train_config_hash(tcfg)
+            report.checkpoint_id = _checkpoint_id(os.path.join(run_dir, "checkpoint.bin"))
             payload = report.to_dict()
             payload["axis"] = ns.axis
             payload["value"] = raw
@@ -594,13 +600,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 def _read_report(path: str) -> tuple[EvalReport, object]:
     """The EvalReport in a report.json, and its sweep axis value ("" if none)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise CliError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise CliError(f"{path}: a report must hold a JSON object")
+    payload = _read_text(path, "object", "a report")
     record = {"config": {}, "details": {}, "dataset_id": "", "checkpoint_id": "", **payload}
     number = _of_type(int, float)
     fields = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import PromptSpec, prompt_from_text
-from .manifest import DatasetManifest
+from .manifest import DatasetManifest, _read_text
 from .seeding import SALT_AUGMENT, SALT_BATCH, rng_from
 
 __all__ = [
@@ -48,20 +48,11 @@ def load_captions(path: str, num_classes: int) -> list[CaptionRecord]:
     Blank lines are skipped but still consume an id, so ids are stable under
     edits elsewhere in the file. No de-duplication is applied here.
     """
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            text = line.rstrip("\n")
-            if not text.strip():
-                continue
-            records.append(
-                CaptionRecord(
-                    caption_id=i,
-                    text=text,
-                    prompt=prompt_from_text(i, text, num_classes),
-                )
-            )
-    return records
+    return [
+        CaptionRecord(caption_id=i, text=text, prompt=prompt_from_text(i, text, num_classes))
+        for i, text in enumerate(_read_text(path))
+        if text.strip()
+    ]
 
 
 _ADJECTIVES = [

@@ -10,13 +10,12 @@ penalty and averaging query accuracy over episodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoder import Encoder
-from .manifest import _of_type, _read_field
+from .manifest import _of_type, _read_field, _read_text
 from .seeding import SALT_EVAL, rng_from
 
 __all__ = [
@@ -490,26 +489,17 @@ def load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the first line's, raises a ValueError naming the file, line and field.
     """
     sample_ids, class_ids, rows = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"line {lineno}"
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {where} is not JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}: {where} is not a JSON object")
-            sample_ids.append(_read_field(rec, "sample_id", _int64, path, where))
-            class_ids.append(_read_field(rec, "class_id", _int64, path, where))
-            row = _read_field(rec, "feature", _feature_row, path, where)
-            if rows and row.size != rows[0].size:
-                raise ValueError(
-                    f"{path}: {where} field 'feature' has length {row.size}, "
-                    f"expected {rows[0].size}"
-                )
-            rows.append(row)
+    for lineno, rec in _read_text(path, "records"):
+        where = f"line {lineno}"
+        sample_ids.append(_read_field(rec, "sample_id", _int64, path, where))
+        class_ids.append(_read_field(rec, "class_id", _int64, path, where))
+        row = _read_field(rec, "feature", _feature_row, path, where)
+        if rows and row.size != rows[0].size:
+            raise ValueError(
+                f"{path}: {where} field 'feature' has length {row.size}, "
+                f"expected {rows[0].size}"
+            )
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no feature records")
     return (

@@ -160,6 +160,57 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path: str, parse: str = "lines", what: str = "the file"):
+    """The UTF-8 text of `path`, newlines translated as in text mode, as its
+    lines (parse="lines"), as the one JSON object it holds ("object"), or as
+    (line number, object) for each non-blank line ("records"). Failures
+    raise ValueError("<path>: line N ..."), except that a well-formed value
+    that is not an object reads "<path>: <what> must hold a JSON object"."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = before.count(b"\n") + 1
+        raise ValueError(
+            f"{path}: line {lineno} is not UTF-8 ({exc.reason} at byte offset {exc.start})"
+        ) from None
+    del raw  # free the bytes before the text is copied into lines
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+
+    def loads(chunk: str, lineno: int):
+        try:
+            return json.loads(chunk)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {lineno + exc.lineno - 1} is not JSON: {exc.msg} "
+                f"(column {exc.colno})"
+            ) from None
+        except ValueError as exc:  # an integer literal past int's digit limit
+            raise ValueError(f"{path}: line {lineno} is not JSON: {exc}") from None
+
+    if parse == "object":
+        value = loads(text, 1)
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {what} must hold a JSON object")
+        return value
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if parse == "lines":
+        return lines
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        value = loads(line, lineno)
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: line {lineno} is not a JSON object")
+        records.append((lineno, value))
+    return records
+
+
 def _read_field(record: dict, name: str, convert, path: str, where: str = "header"):
     """convert(record[name]); a missing or invalid field raises a ValueError
     that names the file, the part of it (`where`) and the field."""
@@ -185,12 +236,11 @@ def _of_type(*types):
 
 
 def read_manifest(path: str) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    records = _read_text(path, "records")
+    if not records:
         raise ValueError(f"{path}: empty manifest")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or header.get("kind") != _KIND:
+    header = records.pop(0)[1]
+    if header.get("kind") != _KIND:
         raise ValueError(f"{path}: not a {_KIND} file")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
@@ -198,7 +248,6 @@ def read_manifest(path: str) -> DatasetManifest:
     n = _read_field(header, "num_samples", int, path)
     master_seed = _read_field(header, "master_seed", int, path)
     content_hash = _read_field(header, "content_hash", str, path)
-    records = lines[1:]
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
 
@@ -210,8 +259,7 @@ def read_manifest(path: str) -> DatasetManifest:
         "latent_seed": np.empty(n, dtype=np.uint64),
         "guidance_scale": np.empty(n),
     }
-    for i, line in enumerate(records):
-        rec = json.loads(line)
+    for i, (lineno, rec) in enumerate(records):
         name = "feature"  # the field being read when an error is raised
         try:
             if len(rec[name]) != cfg.feature_dim:
@@ -220,9 +268,9 @@ def read_manifest(path: str) -> DatasetManifest:
             for name, column in columns.items():
                 column[i] = rec[name]
         except KeyError:
-            raise ValueError(f"{path}: record {i} has no field {name!r}") from None
+            raise ValueError(f"{path}: line {lineno} has no field {name!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: record {i} field {name!r} is invalid: {exc}") from None
+            raise ValueError(f"{path}: line {lineno} field {name!r} is invalid: {exc}") from None
 
     manifest = DatasetManifest(
         config=cfg,

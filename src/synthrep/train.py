@@ -31,11 +31,9 @@ from .seeding import SALT_EPOCH, derive_u64, rng_from
 __all__ = [
     "LOSS_VARIANTS",
     "TrainConfig",
-    "OptimizerState",
     "TrainState",
     "TrainingDivergedError",
     "lr_at",
-    "init_opt_state",
     "adamw_step",
     "Trainer",
     "sub_params",
@@ -181,52 +179,57 @@ def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: float) -> float:
 
 
 @dataclass
-class OptimizerState:
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+class TrainState:
+    """Everything that evolves during a run; checkpoints serialize this."""
+
+    params: dict[str, np.ndarray]  # keys prefixed "img." / "txt."
+    m: dict[str, np.ndarray]  # AdamW first moments, keyed like params
+    v: dict[str, np.ndarray]  # AdamW second moments, keyed like params
+    norm_state: dict[str, np.ndarray]
+    step: int = 0  # optimizer steps taken
 
 
-def init_opt_state(params: dict[str, np.ndarray]) -> OptimizerState:
-    return OptimizerState(
-        step=0,
+def _init_state(cfg: TrainConfig) -> TrainState:
+    """Step-0 state: the image tower from seed index 0 and, in the text
+    variants, the text tower from index 1; both moments zero."""
+    towers = [("img.", cfg.encoder), ("txt.", cfg.text_encoder)][: 1 + cfg.uses_text]
+    params, norm_state = {}, {}
+    for index, (prefix, enc_cfg) in enumerate(towers):
+        enc = Encoder(enc_cfg)
+        seed = derive_u64(cfg.seed, index)
+        params.update((prefix + k, v) for k, v in enc.init_params(seed).items())
+        norm_state.update((prefix + k, v) for k, v in enc.init_state().items())
+    return TrainState(
+        params=params,
         m={k: np.zeros_like(v) for k, v in params.items()},
         v={k: np.zeros_like(v) for k, v in params.items()},
+        norm_state=norm_state,
     )
 
 
 def adamw_step(
-    params: dict[str, np.ndarray],
+    ts: TrainState,
     grads: dict[str, np.ndarray],
-    opt: OptimizerState,
     lr: float,
     betas: tuple,
     weight_decay: float,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected adaptive update with decoupled weight decay, in place."""
+    """Bias-corrected adaptive update with decoupled weight decay: advances
+    `ts` in place by one optimizer step."""
     b1, b2 = betas
-    opt.step += 1
-    bc1 = 1.0 - b1**opt.step
-    bc2 = 1.0 - b2**opt.step
-    for k in sorted(params):
+    ts.step += 1
+    bc1 = 1.0 - b1**ts.step
+    bc2 = 1.0 - b2**ts.step
+    for k in sorted(ts.params):
         g = grads[k]
-        opt.m[k] *= b1
-        opt.m[k] += (1 - b1) * g
-        opt.v[k] *= b2
-        opt.v[k] += (1 - b2) * g * g
-        update = (opt.m[k] / bc1) / (np.sqrt(opt.v[k] / bc2) + eps)
-        params[k] -= lr * (update + weight_decay * params[k])
-
-
-@dataclass
-class TrainState:
-    """Everything that evolves during a run; checkpoints serialize this."""
-
-    params: dict[str, np.ndarray]  # keys prefixed "img." / "txt."
-    norm_state: dict[str, np.ndarray]
-    opt: OptimizerState
-    step: int = 0
+        m, v = ts.m[k], ts.v[k]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        ts.params[k] -= lr * (update + weight_decay * ts.params[k])
 
 
 def sub_params(d: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -273,24 +276,7 @@ class Trainer:
     # -- state ----------------------------------------------------------------
 
     def init_state(self) -> TrainState:
-        params = {
-            "img." + k: v
-            for k, v in self.image_enc.init_params(derive_u64(self.cfg.seed, 0)).items()
-        }
-        norm_state = {"img." + k: v for k, v in self.image_enc.init_state().items()}
-        if self.text_enc is not None:
-            params.update(
-                {
-                    "txt." + k: v
-                    for k, v in self.text_enc.init_params(
-                        derive_u64(self.cfg.seed, 1)
-                    ).items()
-                }
-            )
-            norm_state.update(
-                {"txt." + k: v for k, v in self.text_enc.init_state().items()}
-            )
-        return TrainState(params=params, norm_state=norm_state, opt=init_opt_state(params))
+        return _init_state(self.cfg)
 
     # -- deterministic batch assembly ------------------------------------------
 
@@ -391,8 +377,7 @@ class Trainer:
                 for g in grads.values():
                     g *= scale
 
-            adamw_step(ts.params, grads, ts.opt, lr, cfg.betas, cfg.weight_decay)
-            ts.step += 1
+            adamw_step(ts, grads, lr, cfg.betas, cfg.weight_decay)
             return {
                 "step": ts.step,
                 "epoch_equiv": ts.step / self.steps_per_epoch,
@@ -507,26 +492,29 @@ def write_metrics(path: str, metrics: list[dict], header: dict | None = None) ->
 _MAGIC = b"SRENCKPT"
 _CKPT_FORMAT = 1
 
+# array-name prefix -> the TrainState field whose arrays it holds
+_CKPT_FIELDS = {"params/": "params", "opt_m/": "m", "opt_v/": "v", "norm/": "norm_state"}
+
+
+def _checkpoint_arrays(ts: TrainState) -> dict[str, np.ndarray]:
+    """Checkpoint name -> array, for every array `ts` holds."""
+    return {
+        prefix + k: v
+        for prefix, name in _CKPT_FIELDS.items()
+        for k, v in getattr(ts, name).items()
+    }
+
 
 def save_checkpoint(
     path: str, cfg: TrainConfig, ts: TrainState, extra_meta: dict | None = None
 ) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for k, v in ts.params.items():
-        arrays["params/" + k] = v
-    for k, v in ts.opt.m.items():
-        arrays["opt_m/" + k] = v
-    for k, v in ts.opt.v.items():
-        arrays["opt_v/" + k] = v
-    for k, v in ts.norm_state.items():
-        arrays["norm/" + k] = v
-
+    arrays = _checkpoint_arrays(ts)
     names = sorted(arrays)
     header = {
         "format": _CKPT_FORMAT,
         "meta": {
             "step": ts.step,
-            "opt_step": ts.opt.step,
+            "opt_step": ts.step,
             "train_config": cfg.to_dict(),
             **(extra_meta or {}),
         },
@@ -548,28 +536,9 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arrays[k]).tobytes())
 
 
-def _checkpoint_layout(cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every array a checkpoint of `cfg` holds.
-
-    `Encoder.init_params` under params/, opt_m/ and opt_v/ and
-    `Encoder.init_state` under norm/, for the image tower and, in the text
-    variants, the text tower.
-    """
-    towers = {"img.": cfg.encoder}
-    if cfg.uses_text:
-        towers["txt."] = cfg.text_encoder
-    layout = {}
-    for prefix, enc_cfg in towers.items():
-        enc = Encoder(enc_cfg)
-        for k, v in enc.init_params(0).items():
-            for group in ("params/", "opt_m/", "opt_v/"):
-                layout[group + prefix + k] = v.shape
-        for k, v in enc.init_state().items():
-            layout["norm/" + prefix + k] = v.shape
-    return layout
-
-
 def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
+    """(config, state, meta) of a checkpoint; the state's arrays are those of
+    `_init_state(config)`, each overwritten from the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -589,43 +558,39 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
         cfg = _read_field(meta, "train_config", TrainConfig.from_dict, path, "meta")
         step = _read_field(meta, "step", int, path, "meta")
         opt_step = _read_field(meta, "opt_step", int, path, "meta")
-        layout = _checkpoint_layout(cfg)
-        arrays: dict[str, np.ndarray] = {}
+        if opt_step != step:
+            raise ValueError(f"{path}: meta opt_step {opt_step} differs from step {step}")
+        ts = _init_state(cfg)
+        ts.step = step
+        targets = _checkpoint_arrays(ts)
+        read: set[str] = set()
         for i, spec in enumerate(_read_field(header, "arrays", list, path)):
             where = f"array spec {i}"
             name = _read_field(spec, "name", str, path, where)
             dtype = _read_field(spec, "dtype", np.dtype, path, where)
             shape = _read_field(spec, "shape", lambda v: tuple(map(int, v)), path, where)
-            if name not in layout:
+            if name not in targets:
                 raise ValueError(f"{path}: array {name!r} is not in its train_config's layout")
-            if name in arrays:
+            if name in read:
                 raise ValueError(f"{path}: array {name!r} appears twice")
-            if shape != layout[name]:
+            target = targets[name]
+            if shape != target.shape:
                 raise ValueError(
                     f"{path}: array {name!r} has shape {shape}; its train_config "
-                    f"implies {layout[name]}"
+                    f"implies {target.shape}"
                 )
             if dtype != np.float64:
                 raise ValueError(f"{path}: array {name!r} has dtype {dtype.str}, not float64")
-            nbytes = (int(np.prod(shape)) if shape else 1) * dtype.itemsize
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
+            buf = fh.read(target.nbytes)
+            if len(buf) != target.nbytes:
                 raise ValueError(
-                    f"{path}: array {name!r} is truncated ({len(buf)} of {nbytes} bytes)"
+                    f"{path}: array {name!r} is truncated ({len(buf)} of {target.nbytes} bytes)"
                 )
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            target[...] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+            read.add(name)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
-    missing = sorted(layout.keys() - arrays.keys())
+    missing = sorted(targets.keys() - read)
     if missing:
         raise ValueError(f"{path}: array {missing[0]!r} is missing ({len(missing)} missing)")
-
-    params = {k[len("params/") :]: v for k, v in arrays.items() if k.startswith("params/")}
-    opt = OptimizerState(
-        step=opt_step,
-        m={k[len("opt_m/") :]: v for k, v in arrays.items() if k.startswith("opt_m/")},
-        v={k[len("opt_v/") :]: v for k, v in arrays.items() if k.startswith("opt_v/")},
-    )
-    norm = {k[len("norm/") :]: v for k, v in arrays.items() if k.startswith("norm/")}
-    ts = TrainState(params=params, norm_state=norm, opt=opt, step=step)
     return cfg, ts, meta

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -567,6 +568,7 @@ def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     assert code == 0
     rep = json.load(open(os.path.join(raw_out, "report.json")))
     assert rep["kind"] == "linear_probe"
+    assert rep["checkpoint_id"] == ""
     assert 0.0 <= rep["accuracy"] <= 1.0
     assert rep["config_hash"]
     assert rep["dataset_id"] == read_manifest(data).hash()
@@ -581,7 +583,12 @@ def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     )
     assert code == 0
     rep2 = json.load(open(os.path.join(ckpt_out, "report.json")))
-    assert rep2["checkpoint_id"].endswith("checkpoint.bin")
+    assert rep2["checkpoint_id"] == _sha256_of(os.path.join(trained, "checkpoint.bin"))
+
+
+def _sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_probe_feature_file_path(workdir, generated, eval_generated, tmp_path):
@@ -660,6 +667,64 @@ def test_report_with_bad_payload_is_json_error(capsys, tmp_path, payload, messag
     assert not os.path.exists(out)
 
 
+def _text_input_case(case, root, cfg, generated, tmp_path):
+    """(argv, bad file, expected error prefix after the path) for one case."""
+    manifest = open(os.path.join(generated, "manifest.jsonl"), "rb").read()
+    lines = manifest.split(b"\n")
+    bad = tmp_path / "bad"
+    out = ["--out", str(tmp_path / "never")]
+    if case == "truncated_manifest":
+        bad.write_bytes(b"\n".join(lines[:2]) + b"\n" + lines[2][:10])
+        return ["train", "--config", cfg, "--data", str(bad), *out], bad, "line 3 is not JSON"
+    if case == "manifest_not_utf8":
+        bad.write_bytes(b"\n".join([lines[0], b"\xff" + lines[1][1:], *lines[2:]]))
+        return ["train", "--config", cfg, "--data", str(bad), *out], bad, "line 2 is not UTF-8"
+    if case == "manifest_record_not_object":
+        bad.write_bytes(b"\n".join([lines[0], b"[1,2]", *lines[2:]]))
+        return (
+            ["train", "--config", cfg, "--data", str(bad), *out],
+            bad,
+            "line 2 is not a JSON object",
+        )
+    if case == "features_not_utf8":
+        man = read_manifest(os.path.join(generated, "manifest.jsonl"))
+        good = tmp_path / "good.jsonl"
+        save_features(str(good), np.arange(man.num_samples), man.class_ids, man.features)
+        bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
+        argv = ["probe", "--config", cfg, "--train-features", str(bad),
+                "--test-features", str(good), *out]
+        return argv, bad, "line 2 is not UTF-8"
+    if case == "config_not_json":
+        bad.write_text('{"seed": 1,\n}\n')
+        return ["generate", "--config", str(bad), *out], bad, "line 2 is not JSON"
+    assert case == "captions_not_utf8"
+    bad.write_bytes(b"a red fox\r\n\xff\r\n")
+    argv = ["generate", "--config", cfg, "--set", f"data.captions_file={bad}", *out]
+    return argv, bad, "line 2 is not UTF-8"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "truncated_manifest",
+        "manifest_not_utf8",
+        "manifest_record_not_object",
+        "features_not_utf8",
+        "config_not_json",
+        "captions_not_utf8",
+    ],
+)
+def test_unreadable_text_input_error_names_file_and_line(
+    workdir, generated, capsys, tmp_path, case
+):
+    root, cfg = workdir
+    argv, bad, message = _text_input_case(case, root, cfg, generated, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert _single_json_error(capsys, argv[0]).startswith(f"{bad}: {message}")
+    assert not os.path.exists(tmp_path / "never")
+
+
 def test_fewshot_command(workdir, generated):
     root, cfg = workdir
     out = str(root / "fewshot")
@@ -688,7 +753,9 @@ def test_sweep_and_report(workdir):
         cell = json.load(open(os.path.join(out, label, "report.json")))
         assert cell["axis"] == "m"
         assert cell["value"] == label.split("_")[1]
-        assert os.path.exists(os.path.join(out, label, "train", "checkpoint.bin"))
+        # the report names the bytes of the checkpoint it scored
+        ckpt = os.path.join(out, label, "train", "checkpoint.bin")
+        assert cell["checkpoint_id"] == _sha256_of(ckpt)
     assert os.path.exists(os.path.join(out, "summary.csv"))
     assert os.path.exists(os.path.join(out, "summary.txt"))
     assert os.path.exists(os.path.join(out, "summary.svg"))

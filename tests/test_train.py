@@ -14,8 +14,8 @@ from synthrep.train import (
     TrainConfig,
     Trainer,
     TrainingDivergedError,
+    TrainState,
     adamw_step,
-    init_opt_state,
     load_checkpoint,
     lr_at,
     run_training,
@@ -96,26 +96,30 @@ def test_adamw_two_steps_match_hand_computation():
     g1 = np.array([0.5, 1.5, -0.25])
     g2 = np.array([-1.0, 0.5, 0.75])
 
-    params = {"w": w0.copy()}
-    opt = init_opt_state(params)
+    ts = TrainState(
+        params={"w": w0.copy()}, m={"w": np.zeros(3)}, v={"w": np.zeros(3)}, norm_state={}
+    )
+    params = ts.params
     held = params["w"]
 
-    adamw_step(params, {"w": g1}, opt, lr, (b1, b2), wd, eps=eps)
+    adamw_step(ts, {"w": g1}, lr, (b1, b2), wd, eps=eps)
     m1 = (1 - b1) * g1
     v1 = (1 - b2) * g1**2
     upd1 = (m1 / (1 - b1)) / (np.sqrt(v1 / (1 - b2)) + eps)
     w1 = w0 - lr * (upd1 + wd * w0)
     np.testing.assert_allclose(params["w"], w1, atol=1e-15)
-    assert opt.step == 1
+    np.testing.assert_allclose(ts.m["w"], m1, atol=1e-15)
+    np.testing.assert_allclose(ts.v["w"], v1, atol=1e-15)
+    assert ts.step == 1
     assert params["w"] is held  # in-place update
 
-    adamw_step(params, {"w": g2}, opt, lr, (b1, b2), wd, eps=eps)
+    adamw_step(ts, {"w": g2}, lr, (b1, b2), wd, eps=eps)
     m2 = b1 * m1 + (1 - b1) * g2
     v2 = b2 * v1 + (1 - b2) * g2**2
     upd2 = (m2 / (1 - b1**2)) / (np.sqrt(v2 / (1 - b2**2)) + eps)
     w2 = w1 - lr * (upd2 + wd * w1)
     np.testing.assert_allclose(params["w"], w2, atol=1e-15)
-    assert opt.step == 2
+    assert ts.step == 2
 
 
 # -- config -------------------------------------------------------------------
@@ -281,7 +285,7 @@ def test_divergence_is_reported():
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="step 0"):
         trainer.train_step(ts)
     # the step is refused before the optimizer touches the parameters
-    assert ts.step == 0 and ts.opt.step == 0
+    assert ts.step == 0
     for k, v in before.items():
         np.testing.assert_array_equal(ts.params[k], v)
 
@@ -298,7 +302,7 @@ def test_overflowing_embeddings_are_reported_as_divergence():
     assert "embeddings" in msg
     assert f"step {ts.step};" in msg
     assert f"lr={lr_at(ts.step, trainer.cfg, trainer.steps_per_epoch):.3g}" in msg
-    assert ts.step > 0 and ts.opt.step == ts.step
+    assert ts.step > 0
 
 
 def test_grad_clip_bounds_update_norm():
@@ -330,14 +334,11 @@ def test_checkpoint_round_trip_and_byte_determinism(tmp_path):
     assert loaded_cfg.to_dict() == cfg.to_dict()
     assert meta["tag"] == "x"
     assert loaded.step == ts.step
-    assert loaded.opt.step == ts.opt.step
-    for k in ts.params:
-        np.testing.assert_array_equal(loaded.params[k], ts.params[k])
-    for k in ts.opt.m:
-        np.testing.assert_array_equal(loaded.opt.m[k], ts.opt.m[k])
-        np.testing.assert_array_equal(loaded.opt.v[k], ts.opt.v[k])
-    for k in ts.norm_state:
-        np.testing.assert_array_equal(loaded.norm_state[k], ts.norm_state[k])
+    for field in ("params", "m", "v", "norm_state"):
+        saved, back = getattr(ts, field), getattr(loaded, field)
+        assert list(back) == list(saved)
+        for k in saved:
+            np.testing.assert_array_equal(back[k], saved[k])
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -544,7 +545,7 @@ def test_checkpoint_arrays_must_match_the_config_layout(tmp_path, name, change):
     assert repr(name) in str(exc.value)
 
 
-def test_checkpoint_layout_covers_the_text_tower(tmp_path):
+def test_text_variant_checkpoint_holds_the_text_tower(tmp_path):
     man = toy_manifest()
     cfg = tiny_cfg(loss_variant="multi_positive_text", text_encoder=text_encoder_cfg(), epochs=1)
     trainer = Trainer(man, cfg)
@@ -556,6 +557,14 @@ def test_checkpoint_layout_covers_the_text_tower(tmp_path):
     _rewrite_arrays(path, raw, lambda a: a.pop("opt_v/txt.head.l0.b"))
     with pytest.raises(ValueError, match="'opt_v/txt.head.l0.b'"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_opt_step_other_than_step_is_rejected(tmp_path):
+    path, raw, _, _ = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, raw, lambda h: h["meta"].update(opt_step=h["meta"]["step"] + 1))
+    with pytest.raises(ValueError, match="opt_step") as exc:
+        load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
