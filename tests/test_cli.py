@@ -555,6 +555,11 @@ def test_force_keeps_old_output_when_a_rename_fails(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+def _sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     root, cfg = workdir
     data = os.path.join(generated, "manifest.jsonl")
@@ -584,11 +589,6 @@ def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     assert code == 0
     rep2 = json.load(open(os.path.join(ckpt_out, "report.json")))
     assert rep2["checkpoint_id"] == _sha256_of(os.path.join(trained, "checkpoint.bin"))
-
-
-def _sha256_of(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_probe_feature_file_path(workdir, generated, eval_generated, tmp_path):
@@ -667,10 +667,11 @@ def test_report_with_bad_payload_is_json_error(capsys, tmp_path, payload, messag
     assert not os.path.exists(out)
 
 
-def _text_input_case(case, root, cfg, generated, tmp_path):
+def _text_input_case(case, cfg, generated, tmp_path):
     """(argv, bad file, expected error prefix after the path) for one case."""
-    manifest = open(os.path.join(generated, "manifest.jsonl"), "rb").read()
-    lines = manifest.split(b"\n")
+    manifest = os.path.join(generated, "manifest.jsonl")
+    with open(manifest, "rb") as fh:
+        lines = fh.read().split(b"\n")
     bad = tmp_path / "bad"
     out = ["--out", str(tmp_path / "never")]
     if case == "truncated_manifest":
@@ -687,7 +688,7 @@ def _text_input_case(case, root, cfg, generated, tmp_path):
             "line 2 is not a JSON object",
         )
     if case == "features_not_utf8":
-        man = read_manifest(os.path.join(generated, "manifest.jsonl"))
+        man = read_manifest(manifest)
         good = tmp_path / "good.jsonl"
         save_features(str(good), np.arange(man.num_samples), man.class_ids, man.features)
         bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
@@ -717,8 +718,8 @@ def _text_input_case(case, root, cfg, generated, tmp_path):
 def test_unreadable_text_input_error_names_file_and_line(
     workdir, generated, capsys, tmp_path, case
 ):
-    root, cfg = workdir
-    argv, bad, message = _text_input_case(case, root, cfg, generated, tmp_path)
+    _, cfg = workdir
+    argv, bad, message = _text_input_case(case, cfg, generated, tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
     assert _single_json_error(capsys, argv[0]).startswith(f"{bad}: {message}")
