@@ -146,6 +146,48 @@ def _apply_override(cfg: dict, path: list[str], value) -> None:
     node[path[-1]] = value
 
 
+def _guidance_scales(value):
+    """data.guidance_scales: null, a group name or a list of numbers."""
+    if value is not None and not isinstance(value, str):
+        for w in _of_type(list)(value):
+            _of_type(int, float)(w)
+    return value
+
+
+# what the config keys whose default is null may hold
+_NULLABLE = {
+    "data.captions_file": _of_type(str, type(None)),
+    "data.guidance_scales": _guidance_scales,
+    "train.text_encoder": _of_type(dict, type(None)),
+    "train.grad_clip": _of_type(int, float, type(None)),
+}
+
+
+def _check_section(section: dict, default: dict, prefix: str) -> None:
+    """Refuse a key that the default section lacks, and a value whose JSON
+    type is not its default's: a float default takes any number, a null one
+    what _NULLABLE allows. The keys of an empty default object
+    (train.encoder) are left to EncoderConfig."""
+    for key, value in section.items():
+        name = prefix + key
+        if key not in default:
+            raise CliError(f"unknown config key {name!r}")
+        expected = default[key]
+        if expected and isinstance(expected, dict) and isinstance(value, dict):
+            _check_section(value, expected, name + ".")
+            continue
+        if expected is None:
+            convert = _NULLABLE[name]
+        elif isinstance(expected, float):
+            convert = _of_type(int, float)
+        else:
+            convert = _of_type(type(expected))
+        try:
+            convert(value)
+        except TypeError as exc:
+            raise CliError(f"config key {name!r} is invalid: {exc}") from None
+
+
 def _resolve_config(ns: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if getattr(ns, "config", None):
@@ -153,11 +195,17 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
     for expr in getattr(ns, "set", None) or []:
         path, value = _parse_override(expr)
         _apply_override(cfg, path, value)
+    unknown = sorted(cfg.keys() - DEFAULT_CONFIG.keys())
+    if unknown:
+        raise CliError(f"unknown config key {unknown[0]!r}")
     for name, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(cfg[name], dict):
+        if not isinstance(default, dict):
+            continue
+        if not isinstance(cfg[name], dict):
             raise CliError(
                 f"config section {name!r} must be an object, not {json.dumps(cfg[name])}"
             )
+        _check_section(cfg[name], default, name + ".")
     return cfg
 
 
@@ -262,19 +310,19 @@ def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
 
 def _caption_records(data_cfg: dict, num_classes: int, seed: int):
     """Captions from a file (deduplicated) or synthesized deterministically."""
-    if data_cfg.get("captions_file"):
+    if data_cfg["captions_file"]:
         records = dedup_captions(load_captions(data_cfg["captions_file"], num_classes))
         if not records:
             raise CliError("caption file contained no usable captions")
         return records
-    return synth_captions(int(data_cfg["num_captions"]), num_classes, seed)
+    return synth_captions(data_cfg["num_captions"], num_classes, seed)
 
 
 def _build_manifest(cfg: dict, seed: int, sampler_override: str | None = None):
     gcfg = GeneratorConfig.from_dict(cfg["generator"])
     data = cfg["data"]
     records = _caption_records(data, gcfg.num_classes, derive_u64(seed, 10))
-    scales = data.get("guidance_scales")
+    scales = data["guidance_scales"]
     if isinstance(scales, str):
         if scales not in GUIDANCE_GROUPS:
             raise CliError(
@@ -283,11 +331,11 @@ def _build_manifest(cfg: dict, seed: int, sampler_override: str | None = None):
         scales = GUIDANCE_GROUPS[scales]
     manifest = generate_dataset(
         [r.prompt for r in records],
-        int(data["images_per_caption"]),
+        data["images_per_caption"],
         gcfg,
         derive_u64(seed, 11),
         guidance_scales=scales,
-        sampler=sampler_override or data.get("sampler", "ddim"),
+        sampler=sampler_override or data["sampler"],
     )
     return manifest, records
 
@@ -379,9 +427,9 @@ def _cmd_train(ns: argparse.Namespace) -> int:
 def _probe_config(cfg: dict, seed: int) -> ProbeConfig:
     pc = cfg["probe"]
     return ProbeConfig(
-        normalize_features=bool(pc["normalize_features"]),
+        normalize_features=pc["normalize_features"],
         val_fraction=float(pc["val_fraction"]),
-        max_iterations=int(pc["max_iterations"]),
+        max_iterations=pc["max_iterations"],
         seed=derive_u64(seed, 30),
     )
 
@@ -427,10 +475,10 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
     seed = _resolve_seed(ns, cfg)
     fs = cfg["fewshot"]
     spec = EpisodeSpec(
-        ways=int(fs["ways"]),
-        shots=int(fs["shots"]),
-        queries_per_class=int(fs["queries_per_class"]),
-        episodes=int(fs["episodes"]),
+        ways=fs["ways"],
+        shots=fs["shots"],
+        queries_per_class=fs["queries_per_class"],
+        episodes=fs["episodes"],
         reg_lambda=float(fs["reg_lambda"]),
         seed=derive_u64(seed, 31),
     )
@@ -462,10 +510,10 @@ def _sweep_eval_split(cfg: dict, seed: int):
     """Held-out direct-sampled data, shared by every sweep point."""
     gcfg = GeneratorConfig.from_dict(cfg["generator"])
     ed = cfg["eval_data"]
-    records = synth_captions(int(ed["num_captions"]), gcfg.num_classes, derive_u64(seed, 20))
+    records = synth_captions(ed["num_captions"], gcfg.num_classes, derive_u64(seed, 20))
     manifest = generate_dataset(
         [r.prompt for r in records],
-        int(ed["samples_per_caption"]),
+        ed["samples_per_caption"],
         gcfg,
         derive_u64(seed, 21),
         sampler="direct",

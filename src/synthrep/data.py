@@ -13,7 +13,7 @@ import numpy as np
 
 from .generator import PromptSpec, prompt_from_text
 from .manifest import DatasetManifest, _read_text
-from .seeding import SALT_AUGMENT, SALT_BATCH, rng_from
+from .seeding import SALT_AUGMENT, SALT_BATCH, _check_numbers, rng_from
 
 __all__ = [
     "CaptionRecord",
@@ -147,6 +147,7 @@ class BatchSpec:
     samples_per_caption: int
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if self.num_captions < 2:
             raise ValueError("num_captions must be >= 2")
         if self.samples_per_caption < 1:

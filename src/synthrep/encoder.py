@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import SALT_INIT, rng_from
+from .seeding import SALT_INIT, _check_numbers, rng_from
 
 __all__ = ["EncoderConfig", "Encoder"]
 
@@ -31,7 +31,7 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 class EncoderConfig:
     input_dim: int = 32
     backbone: str = "mlp"  # "mlp" or "transformer"
-    mlp_widths: tuple = (128, 128)
+    mlp_widths: tuple[int, ...] = (128, 128)
     patch_size: int = 8
     depth: int = 2
     width: int = 64
@@ -46,6 +46,7 @@ class EncoderConfig:
         self.validate()
 
     def validate(self) -> None:
+        _check_numbers(self)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.backbone not in ("mlp", "transformer"):
@@ -149,15 +150,6 @@ def _batchnorm_bwd(dy, cache):
     return dx, dgamma, dbeta
 
 
-def _batchnorm_eval_bwd(dy, cache):
-    # running-statistics path: mean/var are constants
-    _, inv, gamma = cache
-    xhat = cache[0]
-    dgamma = np.sum(dy * xhat, axis=0)
-    dbeta = np.sum(dy, axis=0)
-    return dy * gamma * inv, dgamma, dbeta
-
-
 def _layernorm_fwd(x, gamma, beta):
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -222,8 +214,8 @@ def _attention_bwd(dy, cache, p, prefix, heads, grads):
     b, t, d = x.shape
     dk = d // heads
 
-    grads[prefix + ".Wo"] += np.tensordot(ctx, dy, axes=([0, 1], [0, 1]))
-    grads[prefix + ".bo"] += dy.sum(axis=(0, 1))
+    grads[prefix + ".Wo"] = np.tensordot(ctx, dy, axes=([0, 1], [0, 1]))
+    grads[prefix + ".bo"] = dy.sum(axis=(0, 1))
     dctx = (dy @ p[prefix + ".Wo"].T).reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
 
     da = dctx @ v.transpose(0, 1, 3, 2)
@@ -240,8 +232,8 @@ def _attention_bwd(dy, cache, p, prefix, heads, grads):
     for name, dz in (("q", dq), ("k", dkk), ("v", dv)):
         dz = merge(dz)
         w_key, b_key = f"{prefix}.W{name}", f"{prefix}.b{name}"
-        grads[w_key] += np.tensordot(x, dz, axes=([0, 1], [0, 1]))
-        grads[b_key] += dz.sum(axis=(0, 1))
+        grads[w_key] = np.tensordot(x, dz, axes=([0, 1], [0, 1]))
+        grads[b_key] = dz.sum(axis=(0, 1))
         dx += dz @ p[w_key].T
     return dx
 
@@ -309,9 +301,6 @@ class Encoder:
             state[f"head.n{i}.var"] = np.ones(self.cfg.head_hidden)
         return state
 
-    def num_params(self) -> int:
-        return sum(v.size for v in self.init_params(0).values())
-
     # -- forward / backward --------------------------------------------------
 
     def forward(
@@ -320,9 +309,9 @@ class Encoder:
         x: np.ndarray,
         state: dict | None = None,
         training: bool = False,
-        update_running: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, list]:
-        """Batched forward. Returns (pre_projection, projected, cache)."""
+        """Batched forward. Returns (pre_projection, projected, cache). In
+        training mode, batch norm folds its statistics into `state` if given."""
         cfg = self.cfg
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -392,7 +381,7 @@ class Encoder:
                 elif training:
                     mean = h.mean(axis=0)
                     var = h.var(axis=0)
-                    if update_running and state is not None:
+                    if state is not None:
                         # in-place so callers holding views see the update
                         mom = cfg.norm_momentum
                         rmean = state[f"head.n{i}.mean"]
@@ -417,31 +406,21 @@ class Encoder:
     def backward(
         self, params: dict, tape: list, grad_projected: np.ndarray
     ) -> dict[str, np.ndarray]:
-        """Exact gradients of all parameters given d(loss)/d(projected)."""
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        """Exact gradients of all parameters given d(loss)/d(projected), from
+        the tape of a training-mode forward; each is written once."""
+        grads: dict[str, np.ndarray] = {}
         dy = np.asarray(grad_projected, dtype=float)
         skip: list[np.ndarray] = []
         for (kind, name), cache in reversed(tape):
             if kind == "l2norm":
                 dy = _l2norm_bwd(dy, cache)
             elif kind == "affine":
-                dy, dw, db = _affine_bwd(dy, cache)
-                grads[name + ".W"] += dw
-                grads[name + ".b"] += db
+                dy, grads[name + ".W"], grads[name + ".b"] = _affine_bwd(dy, cache)
             elif kind == "gelu":
                 dy = _gelu_bwd(dy, cache)
-            elif kind == "batchnorm":
-                dy, dg, db = _batchnorm_bwd(dy, cache)
-                grads[name + ".g"] += dg
-                grads[name + ".b"] += db
-            elif kind == "batchnorm_eval":
-                dy, dg, db = _batchnorm_eval_bwd(dy, cache)
-                grads[name + ".g"] += dg
-                grads[name + ".b"] += db
-            elif kind == "layernorm":
-                dy, dg, db = _layernorm_bwd(dy, cache)
-                grads[name + ".g"] += dg
-                grads[name + ".b"] += db
+            elif kind in ("batchnorm", "layernorm"):
+                bwd = _batchnorm_bwd if kind == "batchnorm" else _layernorm_bwd
+                dy, grads[name + ".g"], grads[name + ".b"] = bwd(dy, cache)
             elif kind == "attention":
                 dy = _attention_bwd(dy, cache, params, name, self.cfg.heads, grads)
             elif kind == "res_end":
@@ -456,9 +435,10 @@ class Encoder:
                 dy = full
             elif kind == "assemble":
                 b, t = name
-                grads["backbone.pos"] += dy.sum(axis=0)
-                grads["backbone.cls"] += dy[:, 0, :].sum(axis=0)
+                grads["backbone.pos"] = dy.sum(axis=0)
+                grads["backbone.cls"] = dy[:, 0, :].sum(axis=0)
                 dy = dy[:, 1:, :]
             else:
                 raise AssertionError(f"unknown tape entry {kind}")
-        return grads
+        # in params order: the trainer's gradient norm sums in this order
+        return {k: grads[k] for k in params}

@@ -24,6 +24,7 @@ from .seeding import (
     SALT_CLASS_CENTER,
     SALT_GUIDANCE,
     SALT_LATENT,
+    _check_numbers,
     caption_fingerprint,
     derive_u64,
     rng_from,
@@ -124,11 +125,12 @@ class GeneratorConfig:
     schedule: DiffusionSchedule = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        self.validate()
         if self.schedule is None:
             self.schedule = DiffusionSchedule.cosine(self.ddim_steps)
-        self.validate()
 
     def validate(self) -> None:
+        _check_numbers(self)
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be >= 2")
         # a single class is allowed: the unconditional mixture degenerates to
@@ -145,7 +147,7 @@ class GeneratorConfig:
             raise ValueError("guidance_scale must be finite and >= 0")
         if self.ddim_steps < 1:
             raise ValueError("ddim_steps must be >= 1")
-        if len(self.schedule) != self.ddim_steps:
+        if self.schedule is not None and len(self.schedule) != self.ddim_steps:
             raise ValueError("schedule length must equal ddim_steps")
 
     def to_dict(self) -> dict:

@@ -5,7 +5,8 @@ q_ij = exp(e_i . e_j / tau) / sum_{k != i} exp(e_i . e_k / tau),
 and the target distribution p spreads mass uniformly over the anchor's
 same-caption partners. The loss is the mean cross-entropy H(p, q). Setting
 every caption multiplicity to 2 recovers the classic single-positive
-two-view loss; adding image-text pair terms gives the dual-encoder variant.
+two-view loss. The symmetric image-text term is the second loss term; a
+train step sums whichever of the two its loss variant uses.
 
 All gradients are analytic and exact, derived from d(loss)/d(logits) =
 (q - p) / num_anchors. Self-masking removes the diagonal from the softmax
@@ -24,13 +25,10 @@ from .encoder import _l2norm_bwd, _l2norm_fwd
 __all__ = [
     "EmbeddingBatch",
     "LossOutput",
-    "PairLossOutput",
-    "TextLossOutput",
     "contrastive_distribution",
     "match_distribution",
     "multi_positive_loss",
     "pair_contrastive_loss",
-    "multi_positive_with_text_loss",
 ]
 
 _NORM_TOL = 1e-6
@@ -62,24 +60,6 @@ class EmbeddingBatch:
 class LossOutput:
     loss: float
     grad_embeddings: np.ndarray  # (C, d)
-
-
-@dataclass
-class PairLossOutput:
-    loss_i2t: float
-    loss_t2i: float
-    grad_image: np.ndarray
-    grad_text: np.ndarray
-
-
-@dataclass
-class TextLossOutput:
-    total: float
-    multi_positive: float
-    loss_i2t: float
-    loss_t2i: float
-    grad_images: np.ndarray
-    grad_texts: np.ndarray
 
 
 def _check_tau(tau: float) -> float:
@@ -175,43 +155,17 @@ def multi_positive_loss(
 
 
 def pair_contrastive_loss(
-    image_emb: np.ndarray, text_emb: np.ndarray, tau: float
-) -> PairLossOutput:
-    """Symmetric dual-encoder loss over n matched unit-norm (image, text) rows.
-
-    Image-to-text treats each image as an anchor over all n texts with a
-    one-hot target at its own caption; text-to-image is the mirror. No self
-    masking: the matching candidate is the positive.
-    """
-    tau = _check_tau(tau)
-    if image_emb.shape != text_emb.shape or image_emb.ndim != 2:
-        raise ValueError("image and text embeddings must share (n, d) shape")
-    _check_unit_norm("image", image_emb)
-    _check_unit_norm("text", text_emb)
-
-    eye = np.eye(image_emb.shape[0])
-    l_i2t, g_img_a, g_txt_c = _softmax_ce(image_emb, text_emb, eye, tau, self_mask=False)
-    l_t2i, g_txt_a, g_img_c = _softmax_ce(text_emb, image_emb, eye, tau, self_mask=False)
-    return PairLossOutput(
-        loss_i2t=l_i2t,
-        loss_t2i=l_t2i,
-        grad_image=g_img_a + g_img_c,
-        grad_text=g_txt_c + g_txt_a,
-    )
-
-
-def multi_positive_with_text_loss(
     batch: EmbeddingBatch,
     text_emb: np.ndarray,
     text_caption_ids: np.ndarray,
     tau: float,
-) -> TextLossOutput:
-    """Multi-positive loss plus 0.5 * (image-to-text + text-to-image).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Symmetric image-text loss 0.5 * (image-to-text + text-to-image) over
+    unit-norm rows with one text per caption: (loss, grad_images, grad_texts).
 
-    One unit-norm text row per caption group. Every image anchors a one-hot
-    over the n texts; every text anchors a uniform target over its caption's
-    m images. Gradients for image and text embeddings are summed across all
-    three terms.
+    Each image's target is one-hot on its caption's text, each text's is
+    uniform over its caption's images; no self masking. With one image per
+    caption this is the classic dual-encoder pair loss.
     """
     tau = _check_tau(tau)
     batch.validate()
@@ -224,21 +178,11 @@ def multi_positive_with_text_loss(
     if set(ids.tolist()) != set(text_ids.tolist()):
         raise ValueError("text captions must cover exactly the batch captions")
 
-    mp = multi_positive_loss(batch, tau)
-
-    # membership[i][g] = 1 iff image i belongs to text g's caption
+    # member[i][g] = 1 iff image i belongs to text g's caption
     member = (ids[:, None] == text_ids[None, :]).astype(float)
-    p_i2t = member  # one-hot rows: each image matches exactly one text
-    p_t2i = member.T / np.sum(member.T, axis=1, keepdims=True)  # uniform over m
+    p_t2i = member.T / np.sum(member.T, axis=1, keepdims=True)
 
     img = batch.embeddings
-    l_i2t, g_img_a, g_txt_c = _softmax_ce(img, text_emb, p_i2t, tau, self_mask=False)
+    l_i2t, g_img_a, g_txt_c = _softmax_ce(img, text_emb, member, tau, self_mask=False)
     l_t2i, g_txt_a, g_img_c = _softmax_ce(text_emb, img, p_t2i, tau, self_mask=False)
-    return TextLossOutput(
-        total=mp.loss + 0.5 * (l_i2t + l_t2i),
-        multi_positive=mp.loss,
-        loss_i2t=l_i2t,
-        loss_t2i=l_t2i,
-        grad_images=mp.grad_embeddings + 0.5 * (g_img_a + g_img_c),
-        grad_texts=0.5 * (g_txt_c + g_txt_a),
-    )
+    return 0.5 * (l_i2t + l_t2i), 0.5 * (g_img_a + g_img_c), 0.5 * (g_txt_c + g_txt_a)

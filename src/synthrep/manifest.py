@@ -224,10 +224,10 @@ def _read_field(record: dict, name: str, convert, path: str, where: str = "heade
 
 def _of_type(*types):
     """A `_read_field` converter that passes JSON values of `types` through
-    and refuses any other, a boolean among them."""
+    and refuses any other, a boolean among them unless `types` holds bool."""
 
     def convert(value):
-        if isinstance(value, bool) or not isinstance(value, types):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             names = " or ".join(t.__name__ for t in types)
             raise TypeError(f"expected {names}, got {type(value).__name__}")
         return value
@@ -245,13 +245,15 @@ def read_manifest(path: str) -> DatasetManifest:
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
     cfg = _read_field(header, "config", GeneratorConfig.from_dict, path)
-    n = _read_field(header, "num_samples", int, path)
-    master_seed = _read_field(header, "master_seed", int, path)
+    n = _read_field(header, "num_samples", _of_type(int), path)
+    master_seed = _read_field(header, "master_seed", _of_type(int), path)
     content_hash = _read_field(header, "content_hash", str, path)
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
 
     features = np.empty((n, cfg.feature_dim))
+    # JSON types are checked: numpy would coerce "0", 0.9 or true unseen
+    integer, number = _of_type(int), _of_type(int, float)
     columns = {
         "caption_id": np.empty(n, dtype=np.int64),
         "class_id": np.empty(n, dtype=np.int64),
@@ -262,11 +264,14 @@ def read_manifest(path: str) -> DatasetManifest:
     for i, (lineno, rec) in enumerate(records):
         name = "feature"  # the field being read when an error is raised
         try:
-            if len(rec[name]) != cfg.feature_dim:
-                raise ValueError(f"length {len(rec[name])}, expected {cfg.feature_dim}")
-            features[i] = rec[name]
+            feature = rec[name]
+            if len(feature) != cfg.feature_dim:
+                raise ValueError(f"length {len(feature)}, expected {cfg.feature_dim}")
+            if not set(map(type, feature)) <= {int, float}:
+                raise TypeError("every entry must be a JSON number")
+            features[i] = feature
             for name, column in columns.items():
-                column[i] = rec[name]
+                column[i] = (number if column.dtype.kind == "f" else integer)(rec[name])
         except KeyError:
             raise ValueError(f"{path}: line {lineno} has no field {name!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:

@@ -8,6 +8,7 @@ even when the underlying identifiers collide.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -38,6 +39,30 @@ def derive_u64(*entropy: int) -> int:
     """A single 64-bit value derived from the entropy tuple."""
     state = seed_sequence(*entropy).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
+
+
+# the annotation string of a numeric dataclass field -> (what it holds, accepted types)
+_NUMBER = (int, float, np.integer, np.floating)
+_NUMBER_FIELDS = {
+    "int": ("an integer", (int, np.integer)),
+    "float": ("a number", _NUMBER),
+    "float | None": ("a number or None", _NUMBER + (type(None),)),
+    "tuple[int, ...]": ("integers", (int, np.integer)),
+    "tuple[float, ...]": ("numbers", _NUMBER),
+}
+
+
+def _check_numbers(config) -> None:
+    """Raise ValueError naming the first numeric field of the dataclass
+    `config` whose value its annotation refuses; a boolean is no number."""
+    for f in dataclasses.fields(config):
+        if f.type not in _NUMBER_FIELDS:
+            continue
+        what, types = _NUMBER_FIELDS[f.type]
+        value = getattr(config, f.name)
+        entries = value if f.type.startswith("tuple") else (value,)
+        if any(isinstance(v, bool) or not isinstance(v, types) for v in entries):
+            raise ValueError(f"{f.name} must be {what}, not {value!r}")
 
 
 def caption_fingerprint(text: str) -> tuple[int, int]:

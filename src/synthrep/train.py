@@ -19,14 +19,9 @@ import numpy as np
 from .data import Batch, BatchSpec, augment_batch, sample_batch
 from .encoder import Encoder, EncoderConfig
 from .generator import caption_to_component
-from .losses import (
-    EmbeddingBatch,
-    multi_positive_loss,
-    multi_positive_with_text_loss,
-    pair_contrastive_loss,
-)
+from .losses import EmbeddingBatch, multi_positive_loss, pair_contrastive_loss
 from .manifest import DatasetManifest, _read_field, canonical_json, fmt_float, json_digest
-from .seeding import SALT_EPOCH, derive_u64, rng_from
+from .seeding import SALT_EPOCH, _check_numbers, derive_u64, rng_from
 
 __all__ = [
     "LOSS_VARIANTS",
@@ -47,8 +42,8 @@ __all__ = [
 LOSS_VARIANTS = (
     "multi_positive",  # n captions x m samples, all same-caption pairs positive
     "simclr_reduction",  # two augmented views of one image per caption
-    "pair_only",  # dual-encoder image/text pair loss only
-    "multi_positive_text",  # multi_positive + 0.5 * (i2t + t2i)
+    "pair_only",  # the image-text term alone, 1 image per caption
+    "multi_positive_text",  # multi-positive term + image-text term
 )
 
 _TEXT_VARIANTS = ("pair_only", "multi_positive_text")
@@ -67,7 +62,7 @@ class TrainConfig:
     tau: float = 0.5
     base_lr: float = 1.0e-2
     weight_decay: float = 0.1
-    betas: tuple = (0.9, 0.98)
+    betas: tuple[float, ...] = (0.9, 0.98)
     epochs: int = 192
     warmup_epochs: float = 1.0
     augment_strength: float = 0.1
@@ -81,6 +76,9 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        _check_numbers(self)
+        if not np.isfinite(self.tau) or self.tau <= 0:
+            raise ValueError("tau must be finite and > 0")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss_variant {self.loss_variant!r}")
         if self.loss_variant == "simclr_reduction" and self.batch_spec.samples_per_caption != 2:
@@ -189,13 +187,17 @@ class TrainState:
     step: int = 0  # optimizer steps taken
 
 
+def _towers(cfg: TrainConfig) -> list[tuple[str, Encoder]]:
+    """(key prefix, encoder) of each tower: image, and text in the text variants."""
+    configs = [("img.", cfg.encoder), ("txt.", cfg.text_encoder)][: 1 + cfg.uses_text]
+    return [(prefix, Encoder(enc_cfg)) for prefix, enc_cfg in configs]
+
+
 def _init_state(cfg: TrainConfig) -> TrainState:
     """Step-0 state: the image tower from seed index 0 and, in the text
     variants, the text tower from index 1; both moments zero."""
-    towers = [("img.", cfg.encoder), ("txt.", cfg.text_encoder)][: 1 + cfg.uses_text]
     params, norm_state = {}, {}
-    for index, (prefix, enc_cfg) in enumerate(towers):
-        enc = Encoder(enc_cfg)
+    for index, (prefix, enc) in enumerate(_towers(cfg)):
         seed = derive_u64(cfg.seed, index)
         params.update((prefix + k, v) for k, v in enc.init_params(seed).items())
         norm_state.update((prefix + k, v) for k, v in enc.init_state().items())
@@ -244,8 +246,7 @@ class Trainer:
         cfg.validate()
         self.manifest = manifest
         self.cfg = cfg
-        self.image_enc = Encoder(cfg.encoder)
-        self.text_enc = Encoder(cfg.text_encoder) if cfg.uses_text else None
+        self.towers = _towers(cfg)
 
         if cfg.encoder.input_dim != manifest.config.feature_dim:
             raise ValueError("encoder input_dim must match manifest feature_dim")
@@ -328,43 +329,43 @@ class Trainer:
             lr = lr_at(ts.step, cfg, self.steps_per_epoch)
             batch, texts = self.assemble(ts.step)
 
-            img_params = sub_params(ts.params, "img.")
-            img_state = sub_params(ts.norm_state, "img.")
-            _, proj, tape = self.image_enc.forward(
-                img_params, batch.features, state=img_state, training=True, update_running=True
-            )
-            self._check_finite("image", proj, ts.step, lr)
-
-            grads: dict[str, np.ndarray] = {}
-            if cfg.uses_text:
-                txt_params = sub_params(ts.params, "txt.")
-                txt_state = sub_params(ts.norm_state, "txt.")
-                _, tproj, ttape = self.text_enc.forward(
-                    txt_params, texts, state=txt_state, training=True, update_running=True
-                )
-                self._check_finite("text", tproj, ts.step, lr)
-                cids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
-                if cfg.loss_variant == "pair_only":
-                    out = pair_contrastive_loss(proj, tproj, cfg.tau)
-                    loss = 0.5 * (out.loss_i2t + out.loss_t2i)
-                    grad_proj = 0.5 * out.grad_image
-                    grad_tproj = 0.5 * out.grad_text
-                else:
-                    out = multi_positive_with_text_loss(
-                        EmbeddingBatch(proj, batch.caption_ids), tproj, cids, cfg.tau
+            # forward every tower: the image tower, then the text tower
+            params, tapes, projs = [], [], []
+            for (prefix, enc), x in zip(self.towers, (batch.features, texts)):
+                params.append(sub_params(ts.params, prefix))
+                state = sub_params(ts.norm_state, prefix)
+                _, proj, tape = enc.forward(params[-1], x, state=state, training=True)
+                if not np.all(np.isfinite(proj)):
+                    tower = "image" if prefix == "img." else "text"
+                    raise TrainingDivergedError(
+                        f"non-finite {tower} embeddings at step {ts.step}; lr={lr:.3g}"
                     )
-                    loss = out.total
-                    grad_proj = out.grad_images
-                    grad_tproj = out.grad_texts
-                for k, v in self.text_enc.backward(txt_params, ttape, grad_tproj).items():
-                    grads["txt." + k] = v
-            else:
-                out = multi_positive_loss(EmbeddingBatch(proj, batch.caption_ids), cfg.tau)
-                loss = out.loss
-                grad_proj = out.grad_embeddings
+                tapes.append(tape)
+                projs.append(proj)
 
-            for k, v in self.image_enc.backward(img_params, tape, grad_proj).items():
-                grads["img." + k] = v
+            # the loss terms: (loss, gradient for each tower it reaches)
+            images = EmbeddingBatch(projs[0], batch.caption_ids)
+            terms = []
+            if cfg.loss_variant != "pair_only":
+                out = multi_positive_loss(images, cfg.tau)
+                terms.append((out.loss, out.grad_embeddings))
+            if cfg.uses_text:
+                text_ids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
+                terms.append(pair_contrastive_loss(images, projs[1], text_ids, cfg.tau))
+            # summed from the first term, not from zero, since 0.0 + -0.0 is +0.0
+            loss, *grad_projs = terms[0]
+            for term_loss, *term_grads in terms[1:]:
+                loss = loss + term_loss
+                summed = [g + t for g, t in zip(grad_projs, term_grads)]
+                grad_projs = summed + term_grads[len(summed) :]
+
+            # backward in reverse tower order; the gradient norm below sums
+            # in this key order, text tower first
+            grads: dict[str, np.ndarray] = {}
+            for i in reversed(range(len(self.towers))):
+                prefix, enc = self.towers[i]
+                dparams = enc.backward(params[i], tapes[i], grad_projs[i])
+                grads.update((prefix + k, v) for k, v in dparams.items())
 
             grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
             if not np.isfinite(loss) or not np.isfinite(grad_norm):
@@ -385,13 +386,6 @@ class Trainer:
                 "lr": float(lr),
                 "grad_norm": grad_norm,
             }
-
-    @staticmethod
-    def _check_finite(tower: str, proj: np.ndarray, step: int, lr: float) -> None:
-        if not np.all(np.isfinite(proj)):
-            raise TrainingDivergedError(
-                f"non-finite {tower} embeddings at step {step}; lr={lr:.3g}"
-            )
 
     def run(self, ts: TrainState, on_step=None) -> list[dict]:
         metrics = []

@@ -410,13 +410,7 @@ def test_config_section_of_the_wrong_type_is_json_error(
     workdir, generated, eval_generated, capsys, tmp_path, section, command
 ):
     root, cfg = workdir
-    data = os.path.join(generated, "manifest.jsonl")
-    inputs = {
-        "generate": [],
-        "train": ["--data", data],
-        "probe": ["--data", data, "--eval-data", os.path.join(eval_generated, "manifest.jsonl")],
-        "fewshot": ["--data", data],
-    }[command]
+    inputs = _inputs(command, generated, eval_generated)
     out = str(tmp_path / "never")
     capsys.readouterr()
     code = main(
@@ -424,6 +418,53 @@ def test_config_section_of_the_wrong_type_is_json_error(
     )
     assert code == 1
     assert repr(section) in _single_json_error(capsys, command)
+    assert not os.path.exists(out)
+
+
+def _inputs(command, generated, eval_generated):
+    data = os.path.join(generated, "manifest.jsonl")
+    return {
+        "generate": [],
+        "train": ["--data", data],
+        "probe": ["--data", data, "--eval-data", os.path.join(eval_generated, "manifest.jsonl")],
+        "fewshot": ["--data", data],
+    }[command]
+
+
+# each value was coerced (bool("no") is true, int(3.9) is 3), silently
+# ignored, or ended in a TypeError traceback
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("probe", "probe.normalize_features=no", "'probe.normalize_features' is invalid"),
+        ("fewshot", "fewshot.ways=3.9", "'fewshot.ways' is invalid"),
+        ("generate", "data.images_per_caption=2.7", "'data.images_per_caption' is invalid"),
+        ("generate", 'data.num_captions="4"', "'data.num_captions' is invalid"),
+        ("probe", 'probe.val_fraction="0.3"', "'probe.val_fraction' is invalid"),
+        ("generate", 'data.guidance_scales=[2, "4"]', "'data.guidance_scales' is invalid"),
+        ("probe", "probe.max_iteration=1", "unknown config key 'probe.max_iteration'"),
+        ("fewshot", "fewshot.max_iterations=0", "unknown config key 'fewshot.max_iterations'"),
+        ("generate", "foo.bar=1", "unknown config key 'foo'"),
+        ("generate", 'generator.ddim_steps="5"', "'generator.ddim_steps' is invalid"),
+        ("generate", "generator.ddim_steps=3.5", "'generator.ddim_steps' is invalid"),
+        ("generate", "generator.feature_dim=4.5", "'generator.feature_dim' is invalid"),
+        ("generate", "generator.foo=1", "unknown config key 'generator.foo'"),
+        ("train", 'train.tau="x"', "'train.tau' is invalid"),
+        ("train", "train.tau=null", "'train.tau' is invalid"),
+        ("train", "train.encoder.head_out=2.5", "head_out must be an integer"),
+        ("train", "train.encoder.mlp_widths=[8.5]", "mlp_widths must be integers"),
+        ("train", "train.batch_spec.num_captions=4.0", "'train.batch_spec.num_captions'"),
+    ],
+)
+def test_mistyped_or_unknown_config_value_is_json_error(
+    workdir, generated, eval_generated, capsys, tmp_path, command, override, message
+):
+    _, cfg = workdir
+    inputs = _inputs(command, generated, eval_generated)
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *inputs, "--set", override, "--out", out]) == 1
+    assert message in _single_json_error(capsys, command)
     assert not os.path.exists(out)
 
 

@@ -71,6 +71,9 @@ def test_batch_spec_and_total():
         BatchSpec(1, 3)
     with pytest.raises(ValueError):
         BatchSpec(4, 0)
+    with pytest.raises(ValueError, match="num_captions"):
+        BatchSpec(4.0, 3)
+    assert BatchSpec(np.int64(4), 3).total == 12
 
 
 def test_batch_validates_caption_major_layout():

@@ -37,7 +37,7 @@ def check_param_grads_fd(cfg, seed, entries_per_array=3, h=1e-5):
 
     _, proj, tape = enc.forward(params, x, training=True)
     grads = enc.backward(params, tape, w)
-    assert set(grads) == set(params)
+    assert list(grads) == list(params)  # in params order, for either backbone
 
     checked = 0
     for key in sorted(params):
@@ -82,7 +82,6 @@ def test_init_params_deterministic_and_seed_sensitive():
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
     assert any(not np.array_equal(a[k], c[k]) for k in a)
-    assert enc.num_params() == sum(v.size for v in a.values())
 
 
 def test_forward_deterministic():
@@ -106,7 +105,7 @@ def test_running_stats_momentum_update():
     pre = x @ params["backbone.l0.W"] + params["backbone.l0.b"]
     h0 = pre @ params["head.l0.W"] + params["head.l0.b"]
 
-    enc.forward(params, x, state=state, training=True, update_running=True)
+    enc.forward(params, x, state=state, training=True)
     np.testing.assert_allclose(
         state["head.n0.mean"], 0.1 * h0.mean(axis=0), atol=1e-12
     )
@@ -125,7 +124,7 @@ def test_eval_with_exact_batch_stats_matches_training_forward():
     params = enc.init_params(8)
     state = enc.init_state()
     x = np.random.default_rng(9).standard_normal((10, 6))
-    _, train_proj, _ = enc.forward(params, x, state=state, training=True, update_running=True)
+    _, train_proj, _ = enc.forward(params, x, state=state, training=True)
     _, eval_proj, _ = enc.forward(params, x, state=state, training=False)
     np.testing.assert_array_equal(train_proj, eval_proj)
 
@@ -210,6 +209,9 @@ def test_config_validation():
         EncoderConfig(head_norm="group")
     with pytest.raises(ValueError):
         EncoderConfig(norm_momentum=1.0)
+    for field, value in [("head_out", 2.5), ("mlp_widths", (8, 8.0)), ("norm_momentum", "0.9")]:
+        with pytest.raises(ValueError, match=field):
+            EncoderConfig(**{field: value})
 
 
 def test_config_dict_round_trip():

@@ -369,6 +369,15 @@ def test_config_validation():
         GeneratorConfig(conditional_std=0.0)
     with pytest.raises(ValueError):
         GeneratorConfig(guidance_scale=-0.5)
+    for field, value in [
+        ("ddim_steps", "5"),
+        ("ddim_steps", 3.5),
+        ("feature_dim", 4.5),
+        ("num_classes", True),
+        ("guidance_scale", "1"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            GeneratorConfig(**{field: value})
 
 
 def test_config_roundtrip():

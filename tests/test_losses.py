@@ -8,7 +8,6 @@ from synthrep.losses import (
     contrastive_distribution,
     match_distribution,
     multi_positive_loss,
-    multi_positive_with_text_loss,
     pair_contrastive_loss,
 )
 
@@ -44,6 +43,25 @@ def naive_multi_positive(e, ids, tau):
             log_q = float(e[i] @ e[j]) / tau - peak - math.log(denom)
             total -= log_q / len(partners)
     return total / c
+
+
+def naive_pair(img, ids, txt, tids, tau):
+    """Scalar-loop reference: each image's softmax over the texts against its
+    caption's text, each text's softmax over the images against a uniform
+    target on its caption's images; half the sum of the two means."""
+
+    def log_softmax_at(anchor, candidates, j):
+        logits = [float(anchor @ c) / tau for c in candidates]
+        peak = max(logits)
+        return logits[j] - peak - math.log(sum(math.exp(v - peak) for v in logits))
+
+    tids = list(tids)
+    i2t = -sum(log_softmax_at(img[i], txt, tids.index(ids[i])) for i in range(len(img)))
+    t2i = 0.0
+    for g, tid in enumerate(tids):
+        members = [i for i in range(len(img)) if ids[i] == tid]
+        t2i -= sum(log_softmax_at(txt[g], img, i) for i in members) / len(members)
+    return 0.5 * (i2t / len(img) + t2i / len(tids))
 
 
 def fd_grad(f, x, h=1e-5):
@@ -205,40 +223,56 @@ def test_validation_errors():
 
 
 def test_pair_loss_symmetric_when_encoders_agree():
+    # identical towers, one image per caption: i2t and t2i mirror each other
     e = unit_rows(random_rows(5, 4, seed=10))
-    out = pair_contrastive_loss(e, e.copy(), tau=0.3)
-    assert abs(out.loss_i2t - out.loss_t2i) <= 1e-12
+    ids = np.arange(5)
+    batch = EmbeddingBatch(e, ids)
+    _, grad_images, grad_texts = pair_contrastive_loss(batch, e.copy(), ids, 0.3)
+    np.testing.assert_array_equal(grad_images, grad_texts)
 
 
 def test_pair_loss_identity_logits_value():
-    # orthonormal matched rows: logits = I / tau
+    # orthonormal matched rows: logits = I / tau in both directions
     n, tau = 4, 0.5
     e = np.eye(n)
-    out = pair_contrastive_loss(e, e.copy(), tau=tau)
+    ids = np.arange(n)
+    loss, _, _ = pair_contrastive_loss(EmbeddingBatch(e, ids), e.copy(), ids, tau)
     expected = -math.log(math.exp(1 / tau) / (math.exp(1 / tau) + (n - 1)))
-    assert abs(out.loss_i2t - expected) <= 1e-12
-    assert abs(out.loss_t2i - expected) <= 1e-12
+    assert abs(loss - expected) <= 1e-12
+
+
+def test_pair_loss_matches_scalar_reference_with_several_images_per_caption():
+    img = unit_rows(random_rows(6, 4, seed=20))
+    txt = unit_rows(random_rows(3, 4, seed=21))
+    ids = np.array([7, 7, 3, 3, 5, 5])
+    tids = np.array([5, 7, 3])
+    loss, _, _ = pair_contrastive_loss(EmbeddingBatch(img, ids), txt, tids, 0.4)
+    assert abs(loss - naive_pair(img, ids, txt, tids, 0.4)) <= 1e-12
 
 
 def test_pair_loss_gradients_match_finite_differences():
     img = random_rows(5, 3, seed=11)
     txt = random_rows(5, 3, seed=12)
+    ids = np.arange(5)
     tau = 0.7
 
     # the loss takes unit rows; differentiate through the normalization
     def f(i, t):
-        o = pair_contrastive_loss(unit_rows(i), unit_rows(t), tau)
-        return o.loss_i2t + o.loss_t2i
+        return pair_contrastive_loss(
+            EmbeddingBatch(unit_rows(i), ids), unit_rows(t), ids, tau
+        )[0]
 
-    out = pair_contrastive_loss(unit_rows(img), unit_rows(txt), tau)
+    _, grad_images, grad_texts = pair_contrastive_loss(
+        EmbeddingBatch(unit_rows(img), ids), unit_rows(txt), ids, tau
+    )
     np.testing.assert_allclose(
-        through_unit_rows(img, out.grad_image),
+        through_unit_rows(img, grad_images),
         fd_grad(lambda x: f(x, txt), img),
         rtol=1e-6,
         atol=1e-8,
     )
     np.testing.assert_allclose(
-        through_unit_rows(txt, out.grad_text),
+        through_unit_rows(txt, grad_texts),
         fd_grad(lambda x: f(img, x), txt),
         rtol=1e-6,
         atol=1e-8,
@@ -247,23 +281,28 @@ def test_pair_loss_gradients_match_finite_differences():
 
 def test_pair_loss_shape_and_norm_validation():
     e = unit_rows(random_rows(4, 3, seed=13))
+    ids = np.arange(4)
     with pytest.raises(ValueError):
-        pair_contrastive_loss(e, e[:3], tau=0.5)
-    with pytest.raises(ValueError):
-        pair_contrastive_loss(e * 2.0, e, tau=0.5)
+        pair_contrastive_loss(EmbeddingBatch(e, ids), e[:3], ids, tau=0.5)
+    with pytest.raises(ValueError, match="unit norm"):
+        pair_contrastive_loss(EmbeddingBatch(e * 2.0, ids), e, ids, tau=0.5)
+    with pytest.raises(ValueError, match="unit norm"):
+        pair_contrastive_loss(EmbeddingBatch(e, ids), e * 2.0, ids, tau=0.5)
 
 
 def test_text_loss_combines_terms_exactly():
+    # the multi_positive_text loss is the multi-positive term plus the
+    # image-text term; their sum matches the two scalar references
     m, n = 3, 4
     img = unit_rows(random_rows(n * m, 5, seed=14))
     txt = unit_rows(random_rows(n, 5, seed=15))
     ids = np.repeat(np.arange(n) + 5, m)
     tids = np.arange(n) + 5
     tau = 0.45
-    out = multi_positive_with_text_loss(EmbeddingBatch(img, ids), txt, tids, tau)
-    mp = multi_positive_loss(EmbeddingBatch(img, ids), tau)
-    assert abs(out.multi_positive - mp.loss) <= 1e-12
-    assert abs(out.total - (mp.loss + 0.5 * (out.loss_i2t + out.loss_t2i))) <= 1e-12
+    batch = EmbeddingBatch(img, ids)
+    total = multi_positive_loss(batch, tau).loss + pair_contrastive_loss(batch, txt, tids, tau)[0]
+    expected = naive_multi_positive(img, ids, tau) + naive_pair(img, ids, txt, tids, tau)
+    assert abs(total - expected) <= 1e-12
 
 
 def test_text_loss_gradients_match_finite_differences():
@@ -276,21 +315,22 @@ def test_text_loss_gradients_match_finite_differences():
 
     # the loss takes unit rows; differentiate through the normalization
     def f(i, t):
-        return multi_positive_with_text_loss(
-            EmbeddingBatch(unit_rows(i), ids), unit_rows(t), tids, tau
-        ).total
+        batch = EmbeddingBatch(unit_rows(i), ids)
+        return multi_positive_loss(batch, tau).loss + pair_contrastive_loss(
+            batch, unit_rows(t), tids, tau
+        )[0]
 
-    out = multi_positive_with_text_loss(
-        EmbeddingBatch(unit_rows(img), ids), unit_rows(txt), tids, tau
-    )
+    batch = EmbeddingBatch(unit_rows(img), ids)
+    _, grad_images, grad_texts = pair_contrastive_loss(batch, unit_rows(txt), tids, tau)
+    grad_images = multi_positive_loss(batch, tau).grad_embeddings + grad_images
     np.testing.assert_allclose(
-        through_unit_rows(img, out.grad_images),
+        through_unit_rows(img, grad_images),
         fd_grad(lambda x: f(x, txt), img),
         rtol=1e-6,
         atol=1e-8,
     )
     np.testing.assert_allclose(
-        through_unit_rows(txt, out.grad_texts),
+        through_unit_rows(txt, grad_texts),
         fd_grad(lambda x: f(img, x), txt),
         rtol=1e-6,
         atol=1e-8,
@@ -302,10 +342,6 @@ def test_text_loss_caption_coverage_errors():
     txt = unit_rows(random_rows(2, 3, seed=19))
     ids = np.array([0, 0, 1, 1])
     with pytest.raises(ValueError):
-        multi_positive_with_text_loss(
-            EmbeddingBatch(img, ids), txt, np.array([0, 2]), tau=0.5
-        )
+        pair_contrastive_loss(EmbeddingBatch(img, ids), txt, np.array([0, 2]), tau=0.5)
     with pytest.raises(ValueError):
-        multi_positive_with_text_loss(
-            EmbeddingBatch(img, ids), txt[:1], np.array([0]), tau=0.5
-        )
+        pair_contrastive_loss(EmbeddingBatch(img, ids), txt[:1], np.array([0]), tau=0.5)

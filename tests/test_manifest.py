@@ -80,6 +80,34 @@ def test_read_rejects_edited_row_value(tmp_path, field):
     assert str(p) in str(exc.value)
 
 
+# each edit is coerced by numpy back to the value written, so only a check
+# of the JSON type tells the edited file from the original
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("caption_id", lambda v: v + 0.9),
+        ("caption_id", str),
+        ("class_id", float),
+        ("latent_seed", str),
+        ("guidance_scale", str),
+        ("guidance_scale", lambda v: True),
+        ("feature", lambda v: [fmt_float(v[0])] + v[1:]),
+    ],
+    ids=["id_float", "id_string", "class_float", "seed_string", "w_string", "w_bool", "feature"],
+)
+def test_read_rejects_value_of_the_wrong_json_type(tmp_path, field, edit):
+    p = tmp_path / "m.jsonl"
+    write_manifest(make_manifest(), str(p))
+    lines = p.read_text().splitlines()
+    rec = json.loads(lines[1])
+    assert rec["guidance_scale"] == 1  # written as the JSON integer 1
+    rec[field] = edit(rec[field])
+    p.write_text("\n".join(lines[:1] + [json.dumps(rec)] + lines[2:]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_manifest(str(p))
+    assert str(exc.value).startswith(f"{p}: line 2 field {field!r} is invalid")
+
+
 def test_hash_distinguishes_content():
     a = make_manifest(seed=3)
     b = make_manifest(seed=4)

@@ -146,6 +146,19 @@ def test_train_config_validation():
         tiny_cfg(augment_strength=-1.0)
     with pytest.raises(ValueError):
         tiny_cfg(grad_clip=0.0)
+    # mistyped values are refused by name, not coerced or left to fail later
+    for field, value in [
+        ("tau", "x"),
+        ("tau", None),
+        ("tau", float("inf")),
+        ("epochs", 4.0),
+        ("epochs", True),
+        ("grad_clip", "1"),
+        ("betas", (0.9, "0.98")),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            tiny_cfg(**{field: value})
+    assert tiny_cfg(epochs=np.int64(2), tau=np.float32(0.5), grad_clip=1).epochs == 2
     with pytest.raises(ValueError):
         tiny_cfg(loss_variant="multi_positive_text")  # no text encoder
     with pytest.raises(ValueError):
