@@ -75,19 +75,12 @@ DEFAULT_CONFIG: dict = {
         "guidance_scales": None,
         "sampler": "ddim",
     },
+    # TrainConfig's defaults as JSON: the master seed replaces its `seed`, and
+    # an empty `encoder` leaves input_dim to follow the manifest
     "train": {
-        "batch_spec": {"num_captions": 20, "samples_per_caption": 6},
-        "loss_variant": "multi_positive",
-        "tau": 0.5,
-        "base_lr": 1.0e-2,
-        "weight_decay": 0.1,
-        "betas": [0.9, 0.98],
-        "epochs": 192,
-        "warmup_epochs": 1.0,
-        "augment_strength": 0.1,
-        "encoder": {},
-        "text_encoder": None,
-        "grad_clip": None,
+        key: {} if key == "encoder" else value
+        for key, value in json.loads(json.dumps(TrainConfig().to_dict())).items()
+        if key != "seed"
     },
     "probe": {
         "normalize_features": False,

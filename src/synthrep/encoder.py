@@ -14,7 +14,7 @@ plain numpy so gradients can be verified against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,25 +72,10 @@ class EncoderConfig:
         return self.mlp_widths[-1] if self.backbone == "mlp" else self.width
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "backbone": self.backbone,
-            "mlp_widths": list(self.mlp_widths),
-            "patch_size": self.patch_size,
-            "depth": self.depth,
-            "width": self.width,
-            "heads": self.heads,
-            "head_hidden": self.head_hidden,
-            "head_out": self.head_out,
-            "head_norm": self.head_norm,
-            "norm_momentum": self.norm_momentum,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
-        d = dict(d)
-        if "mlp_widths" in d:
-            d["mlp_widths"] = tuple(d["mlp_widths"])
         return EncoderConfig(**d)
 
 
@@ -131,44 +116,30 @@ def _gelu_bwd(dy, cache):
     return dy * (cdf + x * pdf)
 
 
-def _batchnorm_fwd(x, gamma, beta, mean, var):
+def _norm_fwd(x, gamma, beta, axis, stats=None):
+    """Normalize x over `axis` (0: batch norm, -1: layer norm) by its own
+    mean and variance, or by `stats` = (mean, var) when given, then scale
+    and shift."""
+    if stats is None:
+        stats = x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
+    mean, var = stats
     inv = 1.0 / np.sqrt(var + _EPS)
     xhat = (x - mean) * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    return gamma * xhat + beta, (xhat, inv, gamma, axis)
 
 
-def _batchnorm_bwd(dy, cache):
-    # batch-statistics path: mean/var were functions of x
-    xhat, inv, gamma = cache
-    n = xhat.shape[0]
-    dxhat = dy * gamma
-    dgamma = np.sum(dy * xhat, axis=0)
-    dbeta = np.sum(dy, axis=0)
-    dx = (inv / n) * (
-        n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
-    )
-    return dx, dgamma, dbeta
-
-
-def _layernorm_fwd(x, gamma, beta):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _EPS)
-    xhat = (x - mean) * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
-
-
-def _layernorm_bwd(dy, cache):
-    xhat, inv, gamma = cache
-    d = xhat.shape[-1]
+def _norm_bwd(dy, cache):
+    # the statistics were functions of x, so they carry gradient too
+    xhat, inv, gamma, axis = cache
+    n = xhat.shape[axis]
     dxhat = dy * gamma
     axes = tuple(range(dy.ndim - 1))
     dgamma = np.sum(dy * xhat, axis=axes)
     dbeta = np.sum(dy, axis=axes)
-    dx = (inv / d) * (
-        d * dxhat
-        - np.sum(dxhat, axis=-1, keepdims=True)
-        - xhat * np.sum(dxhat * xhat, axis=-1, keepdims=True)
+    dx = (inv / n) * (
+        n * dxhat
+        - np.sum(dxhat, axis=axis, keepdims=True)
+        - xhat * np.sum(dxhat * xhat, axis=axis, keepdims=True)
     )
     return dx, dgamma, dbeta
 
@@ -193,30 +164,27 @@ def _l2norm_bwd(dy, cache):
 def _attention_fwd(x, p, prefix, heads):
     b, t, d = x.shape
     dk = d // heads
-
-    def split(z):
-        return z.reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
-
-    q = split(x @ p[prefix + ".Wq"] + p[prefix + ".bq"])
-    k = split(x @ p[prefix + ".Wk"] + p[prefix + ".bk"])
-    v = split(x @ p[prefix + ".Wv"] + p[prefix + ".bv"])
+    # q, k and v are split into heads: (b, heads, t, dk)
+    qkv, affine = [], {}
+    for name in "qkv":
+        z, affine[name] = _affine_fwd(x, p[f"{prefix}.W{name}"], p[f"{prefix}.b{name}"])
+        qkv.append(z.reshape(b, t, heads, dk).transpose(0, 2, 1, 3))
+    q, k, v = qkv
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
     scores -= scores.max(axis=-1, keepdims=True)
     a = np.exp(scores)
     a /= a.sum(axis=-1, keepdims=True)
     ctx = (a @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    out = ctx @ p[prefix + ".Wo"] + p[prefix + ".bo"]
-    return out, (x, q, k, v, a, ctx)
+    out, affine["o"] = _affine_fwd(ctx, p[prefix + ".Wo"], p[prefix + ".bo"])
+    return out, (affine, q, k, v, a)
 
 
-def _attention_bwd(dy, cache, p, prefix, heads, grads):
-    x, q, k, v, a, ctx = cache
-    b, t, d = x.shape
-    dk = d // heads
+def _attention_bwd(dy, cache, prefix, grads):
+    affine, q, k, v, a = cache
+    b, heads, t, dk = q.shape
 
-    grads[prefix + ".Wo"] = np.tensordot(ctx, dy, axes=([0, 1], [0, 1]))
-    grads[prefix + ".bo"] = dy.sum(axis=(0, 1))
-    dctx = (dy @ p[prefix + ".Wo"].T).reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
+    dctx, grads[prefix + ".Wo"], grads[prefix + ".bo"] = _affine_bwd(dy, affine["o"])
+    dctx = dctx.reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
 
     da = dctx @ v.transpose(0, 1, 3, 2)
     dv = a.transpose(0, 1, 3, 2) @ dctx
@@ -225,16 +193,14 @@ def _attention_bwd(dy, cache, p, prefix, heads, grads):
     dq = dscores @ k
     dkk = dscores.transpose(0, 1, 3, 2) @ q
 
-    def merge(z):
-        return z.transpose(0, 2, 1, 3).reshape(b, t, d)
-
-    dx = np.zeros_like(x)
-    for name, dz in (("q", dq), ("k", dkk), ("v", dv)):
-        dz = merge(dz)
-        w_key, b_key = f"{prefix}.W{name}", f"{prefix}.b{name}"
-        grads[w_key] = np.tensordot(x, dz, axes=([0, 1], [0, 1]))
-        grads[b_key] = dz.sum(axis=(0, 1))
-        dx += dz @ p[w_key].T
+    # x fed all three projections: dx sums their input gradients, q + k + v
+    dx = None
+    for name, dz in zip("qkv", (dq, dkk, dv)):
+        dz = dz.transpose(0, 2, 1, 3).reshape(b, t, heads * dk)
+        dxz, grads[f"{prefix}.W{name}"], grads[f"{prefix}.b{name}"] = _affine_bwd(
+            dz, affine[name]
+        )
+        dx = dxz if dx is None else dx + dxz
     return dx
 
 
@@ -346,16 +312,16 @@ class Encoder:
                 blk = f"backbone.b{i}"
                 # attention sub-block: h <- h + attn(ln(h))
                 push(("res_begin", None), None)
-                y, c = _layernorm_fwd(h, params[blk + ".ln1.g"], params[blk + ".ln1.b"])
-                push(("layernorm", blk + ".ln1"), c)
+                y, c = _norm_fwd(h, params[blk + ".ln1.g"], params[blk + ".ln1.b"], -1)
+                push(("norm", blk + ".ln1"), c)
                 y, c = _attention_fwd(y, params, blk + ".attn", cfg.heads)
                 push(("attention", blk + ".attn"), c)
                 push(("res_end", None), None)
                 h = h + y
                 # mlp sub-block: h <- h + mlp(ln(h))
                 push(("res_begin", None), None)
-                y, c = _layernorm_fwd(h, params[blk + ".ln2.g"], params[blk + ".ln2.b"])
-                push(("layernorm", blk + ".ln2"), c)
+                y, c = _norm_fwd(h, params[blk + ".ln2.g"], params[blk + ".ln2.b"], -1)
+                push(("norm", blk + ".ln2"), c)
                 y, c = _affine_fwd(y, params[blk + ".mlp.l0.W"], params[blk + ".mlp.l0.b"])
                 push(("affine", blk + ".mlp.l0"), c)
                 y, c = _gelu_fwd(y)
@@ -364,8 +330,8 @@ class Encoder:
                 push(("affine", blk + ".mlp.l1"), c)
                 push(("res_end", None), None)
                 h = h + y
-            h, c = _layernorm_fwd(h, params["backbone.lnf.g"], params["backbone.lnf.b"])
-            push(("layernorm", "backbone.lnf"), c)
+            h, c = _norm_fwd(h, params["backbone.lnf.g"], params["backbone.lnf.b"], -1)
+            push(("norm", "backbone.lnf"), c)
             h = h[:, 0, :]
             push(("take_cls", (b, t + 1, cfg.width)), None)
 
@@ -376,8 +342,8 @@ class Encoder:
             if i < 2:
                 g, bta = params[f"head.n{i}.g"], params[f"head.n{i}.b"]
                 if cfg.head_norm == "per_sample":
-                    h, c = _layernorm_fwd(h, g, bta)
-                    push(("layernorm", f"head.n{i}"), c)
+                    h, c = _norm_fwd(h, g, bta, -1)
+                    push(("norm", f"head.n{i}"), c)
                 elif training:
                     mean = h.mean(axis=0)
                     var = h.var(axis=0)
@@ -390,12 +356,12 @@ class Encoder:
                         rmean += (1 - mom) * mean
                         rvar *= mom
                         rvar += (1 - mom) * var
-                    h, c = _batchnorm_fwd(h, g, bta, mean, var)
-                    push(("batchnorm", f"head.n{i}"), c)
+                    h, c = _norm_fwd(h, g, bta, 0, (mean, var))
+                    push(("norm", f"head.n{i}"), c)
                 else:
-                    h, c = _batchnorm_fwd(
-                        h, g, bta, state[f"head.n{i}.mean"], state[f"head.n{i}.var"]
-                    )
+                    stats = state[f"head.n{i}.mean"], state[f"head.n{i}.var"]
+                    h, c = _norm_fwd(h, g, bta, 0, stats)
+                    # running statistics are constants: backward refuses this entry
                     push(("batchnorm_eval", f"head.n{i}"), c)
                 h, c = _gelu_fwd(h)
                 push(("gelu", None), c)
@@ -418,11 +384,10 @@ class Encoder:
                 dy, grads[name + ".W"], grads[name + ".b"] = _affine_bwd(dy, cache)
             elif kind == "gelu":
                 dy = _gelu_bwd(dy, cache)
-            elif kind in ("batchnorm", "layernorm"):
-                bwd = _batchnorm_bwd if kind == "batchnorm" else _layernorm_bwd
-                dy, grads[name + ".g"], grads[name + ".b"] = bwd(dy, cache)
+            elif kind == "norm":
+                dy, grads[name + ".g"], grads[name + ".b"] = _norm_bwd(dy, cache)
             elif kind == "attention":
-                dy = _attention_bwd(dy, cache, params, name, self.cfg.heads, grads)
+                dy = _attention_bwd(dy, cache, name, grads)
             elif kind == "res_end":
                 # upstream gradient feeds both the branch and the skip path
                 skip.append(dy)

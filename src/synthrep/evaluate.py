@@ -10,13 +10,13 @@ penalty and averaging query accuracy over episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .encoder import Encoder
 from .manifest import _of_type, _read_field, _read_text
-from .seeding import SALT_EVAL, rng_from
+from .seeding import SALT_EVAL, _check_numbers, rng_from
 
 __all__ = [
     "ProbeConfig",
@@ -46,6 +46,7 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         self.reg_grid = np.asarray(self.reg_grid, dtype=float)
         if self.reg_grid.ndim != 1 or self.reg_grid.size < 1:
             raise ValueError("reg_grid must be a non-empty vector")
@@ -66,16 +67,14 @@ class EpisodeSpec:
     queries_per_class: int = 15
     episodes: int = 600
     reg_lambda: float = 1.0
-    max_iterations: int = 500
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if min(self.ways, self.shots, self.queries_per_class, self.episodes) < 1:
             raise ValueError("episode quantities must be positive")
         if not 0.0 <= self.reg_lambda < np.inf:
             raise ValueError("reg_lambda must be finite and nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -94,16 +93,7 @@ class EvalReport:
             raise ValueError("accuracy must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "accuracy": self.accuracy,
-            "ci95": self.ci95,
-            "count": self.count,
-            "config": self.config,
-            "details": self.details,
-            "dataset_id": self.dataset_id,
-            "checkpoint_id": self.checkpoint_id,
-        }
+        return asdict(self)
 
 
 def _logsumexp_rows(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -428,9 +418,7 @@ def fewshot_eval(
     accs = np.empty(spec.episodes)
     for start in range(0, spec.episodes, _EPISODE_BLOCK):
         block = slice(start, start + _EPISODE_BLOCK)
-        w, b, _ = fit_logreg(
-            x[support[block]], support_y, spec.ways, spec.reg_lambda, spec.max_iterations
-        )
+        w, b, _ = fit_logreg(x[support[block]], support_y, spec.ways, spec.reg_lambda)
         accs[block] = _accuracy(w, b, x[query[block]], query_y)
 
     mean = float(np.mean(accs))

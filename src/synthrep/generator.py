@@ -15,7 +15,7 @@ All operations are pure functions of their arguments plus explicit seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,12 +122,14 @@ class GeneratorConfig:
     conditional_std: float = 0.5
     guidance_scale: float = 1.0
     ddim_steps: int = 50
-    schedule: DiffusionSchedule = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.validate()
-        if self.schedule is None:
-            self.schedule = DiffusionSchedule.cosine(self.ddim_steps)
+
+    @property
+    def schedule(self) -> DiffusionSchedule:
+        """The cosine schedule of `ddim_steps` levels, built on each read."""
+        return DiffusionSchedule.cosine(self.ddim_steps)
 
     def validate(self) -> None:
         _check_numbers(self)
@@ -147,19 +149,9 @@ class GeneratorConfig:
             raise ValueError("guidance_scale must be finite and >= 0")
         if self.ddim_steps < 1:
             raise ValueError("ddim_steps must be >= 1")
-        if self.schedule is not None and len(self.schedule) != self.ddim_steps:
-            raise ValueError("schedule length must equal ddim_steps")
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "num_classes": self.num_classes,
-            "class_center_scale": self.class_center_scale,
-            "caption_offset_scale": self.caption_offset_scale,
-            "conditional_std": self.conditional_std,
-            "guidance_scale": self.guidance_scale,
-            "ddim_steps": self.ddim_steps,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "GeneratorConfig":
@@ -200,13 +192,10 @@ def _class_centers(cfg: GeneratorConfig) -> np.ndarray:
     return np.stack([class_center(k, cfg) for k in range(cfg.num_classes)])
 
 
-def _level(cfg: GeneratorConfig, index: int) -> tuple[float, float]:
-    if not 0 <= index < len(cfg.schedule):
-        raise IndexError(f"schedule index {index} out of range [0, {len(cfg.schedule)})")
-    alpha, sigma = float(cfg.schedule.alphas[index]), float(cfg.schedule.sigmas[index])
-    if sigma == 0.0:
-        raise ZeroDivisionError("sigma = 0 at the clean endpoint")
-    return alpha, sigma
+def _level(schedule: DiffusionSchedule, index: int) -> tuple[float, float]:
+    if not 0 <= index < len(schedule):
+        raise IndexError(f"schedule index {index} out of range [0, {len(schedule)})")
+    return float(schedule.alphas[index]), float(schedule.sigmas[index])
 
 
 # -- noise-prediction kernels. Each formula has this one implementation; the
@@ -262,7 +251,7 @@ def epsilon_cond(
     and the noise prediction is (z - alpha * m) / sigma. Accepts z with any
     leading batch shape over the last (feature) axis.
     """
-    alpha, sigma = _level(cfg, level_index)
+    alpha, sigma = _level(cfg.schedule, level_index)
     mu, _ = caption_to_component(prompt, cfg)
     return _cond_eps(z, mu, alpha, sigma, cfg)
 
@@ -275,7 +264,7 @@ def epsilon_uncond(z: np.ndarray, level_index: int, cfg: GeneratorConfig) -> np.
     mixture over class centers. The prediction is the responsibility-weighted
     posterior mean pushed through the same eps conversion as epsilon_cond.
     """
-    alpha, sigma = _level(cfg, level_index)
+    alpha, sigma = _level(cfg.schedule, level_index)
     return _mixture_eps(np.asarray(z, dtype=float), _class_centers(cfg), alpha, sigma, cfg)
 
 
@@ -315,7 +304,8 @@ def _ddim_trajectory(
     are elementwise or per-row reductions, so any stack of rows gives the
     same bits as sampling each row alone.
     """
-    steps = len(cfg.schedule)
+    schedule = cfg.schedule
+    steps = len(schedule)
     guided = np.flatnonzero(w[:, 0] != 1.0)
     blocks = [guided[lo : lo + _MIXTURE_ROWS] for lo in range(0, guided.size, _MIXTURE_ROWS)]
     z = z0
@@ -323,7 +313,7 @@ def _ddim_trajectory(
     # intermediate and raises with the offending step index
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            alpha, sigma = _level(cfg, i)
+            alpha, sigma = _level(schedule, i)
             eps = _cond_eps(z, means, alpha, sigma, cfg)
             for rows in blocks:
                 eps_u = _mixture_eps(z[rows], centers, alpha, sigma, cfg)
@@ -332,7 +322,7 @@ def _ddim_trajectory(
             if not np.all(np.isfinite(x_hat)):
                 raise SamplerNumericsError(f"non-finite intermediate at step {i}")
             if i + 1 < steps:
-                alpha_next, sigma_next = _level(cfg, i + 1)
+                alpha_next, sigma_next = _level(schedule, i + 1)
                 z = alpha_next * x_hat + sigma_next * eps
     return x_hat
 

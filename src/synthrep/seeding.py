@@ -41,9 +41,11 @@ def derive_u64(*entropy: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-# the annotation string of a numeric dataclass field -> (what it holds, accepted types)
+# the annotation string of a numeric or boolean dataclass field -> (what it
+# holds, accepted types)
 _NUMBER = (int, float, np.integer, np.floating)
 _NUMBER_FIELDS = {
+    "bool": ("a boolean", (bool,)),
     "int": ("an integer", (int, np.integer)),
     "float": ("a number", _NUMBER),
     "float | None": ("a number or None", _NUMBER + (type(None),)),
@@ -53,15 +55,18 @@ _NUMBER_FIELDS = {
 
 
 def _check_numbers(config) -> None:
-    """Raise ValueError naming the first numeric field of the dataclass
-    `config` whose value its annotation refuses; a boolean is no number."""
+    """Raise ValueError naming the first numeric or boolean field of the
+    dataclass `config` whose value its annotation refuses; a boolean is no
+    number, and only a boolean passes a boolean field."""
     for f in dataclasses.fields(config):
         if f.type not in _NUMBER_FIELDS:
             continue
         what, types = _NUMBER_FIELDS[f.type]
         value = getattr(config, f.name)
         entries = value if f.type.startswith("tuple") else (value,)
-        if any(isinstance(v, bool) or not isinstance(v, types) for v in entries):
+        if any(
+            isinstance(v, bool) != (bool in types) or not isinstance(v, types) for v in entries
+        ):
             raise ValueError(f"{f.name} must be {what}, not {value!r}")
 
 

@@ -12,7 +12,7 @@ state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -125,33 +125,16 @@ class TrainConfig:
         return self.base_lr * self.images_per_batch / self.reference_batch
 
     def to_dict(self) -> dict:
-        return {
-            "batch_spec": {
-                "num_captions": self.batch_spec.num_captions,
-                "samples_per_caption": self.batch_spec.samples_per_caption,
-            },
-            "loss_variant": self.loss_variant,
-            "tau": self.tau,
-            "base_lr": self.base_lr,
-            "weight_decay": self.weight_decay,
-            "betas": list(self.betas),
-            "epochs": self.epochs,
-            "warmup_epochs": self.warmup_epochs,
-            "augment_strength": self.augment_strength,
-            "encoder": self.encoder.to_dict(),
-            "text_encoder": None if self.text_encoder is None else self.text_encoder.to_dict(),
-            "grad_clip": self.grad_clip,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         d = dict(d)
-        if isinstance(d.get("batch_spec"), dict):
+        if "batch_spec" in d:
             d["batch_spec"] = BatchSpec(**d["batch_spec"])
-        if isinstance(d.get("encoder"), dict):
+        if "encoder" in d:
             d["encoder"] = EncoderConfig.from_dict(d["encoder"])
-        if isinstance(d.get("text_encoder"), dict):
+        if d.get("text_encoder") is not None:
             d["text_encoder"] = EncoderConfig.from_dict(d["text_encoder"])
         return TrainConfig(**d)
 

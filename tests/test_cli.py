@@ -310,14 +310,13 @@ def test_train_resume_on_a_finished_checkpoint_is_refused(
     assert not os.path.exists(out + ".partial")
 
 
-def test_probe_checkpoint_without_arrays_is_json_error(
-    workdir, generated, eval_generated, trained, capsys, tmp_path
-):
-    root, cfg = workdir
+def _probe_edited_checkpoint(cfg, generated, eval_generated, trained, capsys, tmp_path, edit):
+    """Probe with a copy of the trained checkpoint whose header edit(header)
+    rewrote; return the copy's path and the one JSON error line's message."""
     raw = open(os.path.join(trained, "checkpoint.bin"), "rb").read()
     blob_len = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16 : 16 + blob_len])
-    del header["arrays"]
+    edit(header)
     blob = json.dumps(header).encode("utf-8")
     bad = tmp_path / "checkpoint.bin"
     bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
@@ -330,9 +329,28 @@ def test_probe_checkpoint_without_arrays_is_json_error(
          "--checkpoint", str(bad), "--out", out]
     )
     assert code == 1
-    error = _single_json_error(capsys, "probe")
-    assert str(bad) in error and "'arrays'" in error
     assert not os.path.exists(out)
+    return str(bad), _single_json_error(capsys, "probe")
+
+
+def test_probe_checkpoint_without_arrays_is_json_error(
+    workdir, generated, eval_generated, trained, capsys, tmp_path
+):
+    bad, error = _probe_edited_checkpoint(
+        workdir[1], generated, eval_generated, trained, capsys, tmp_path,
+        lambda header: header.pop("arrays"),
+    )
+    assert bad in error and "'arrays'" in error
+
+
+def test_probe_checkpoint_with_non_object_encoder_is_json_error(
+    workdir, generated, eval_generated, trained, capsys, tmp_path
+):
+    bad, error = _probe_edited_checkpoint(
+        workdir[1], generated, eval_generated, trained, capsys, tmp_path,
+        lambda header: header["meta"]["train_config"].update(encoder=5),
+    )
+    assert bad in error and "meta field 'train_config' is invalid" in error
 
 
 def test_probe_checkpoint_without_an_array_is_json_error(
@@ -828,3 +846,42 @@ def test_sweep_w_token_group(workdir):
     assert not os.path.exists(os.path.join(out, "summary.svg"))
     cell = json.load(open(os.path.join(out, "w_small", "report.json")))
     assert cell["value"] == "small"
+
+
+def test_sweep_l_splits_a_fixed_budget(workdir):
+    root, cfg = workdir
+    out = str(root / "sweep_l")
+    code = main(
+        ["sweep", "--config", cfg, "--seed", "5", "--axis", "l",
+         "--values", "1,4", "--out", out]
+    )
+    assert code == 0
+    # 8 captions x 3 images: the 24-image budget becomes 24 x 1 and 6 x 4
+    for label, captions, variant, m in (
+        ("l_1", 24, "simclr_reduction", 2),
+        ("l_4", 6, "multi_positive", 2),
+    ):
+        man = read_manifest(os.path.join(out, label, "manifest.jsonl"))
+        assert man.num_samples == 24
+        assert man.unique_caption_ids.size == captions
+        tcfg, _, _ = load_checkpoint(os.path.join(out, label, "train", "checkpoint.bin"))
+        assert tcfg.loss_variant == variant
+        assert tcfg.batch_spec.samples_per_caption == m
+    assert not os.path.exists(os.path.join(out, "dataset"))
+    assert os.path.exists(os.path.join(out, "summary.svg"))
+
+
+def test_sweep_epochs_shares_one_dataset(workdir):
+    root, cfg = workdir
+    out = str(root / "sweep_epochs")
+    code = main(
+        ["sweep", "--config", cfg, "--seed", "5", "--axis", "epochs",
+         "--values", "1,2", "--out", out]
+    )
+    assert code == 0
+    assert read_manifest(os.path.join(out, "dataset", "manifest.jsonl")).num_samples == 24
+    # 2 * epochs * 8 captions image forwards at 4 x 2 images a step
+    for label, steps in (("epochs_1", 2), ("epochs_2", 4)):
+        assert not os.path.exists(os.path.join(out, label, "manifest.jsonl"))
+        _, ts, _ = load_checkpoint(os.path.join(out, label, "train", "checkpoint.bin"))
+        assert ts.step == steps

@@ -62,9 +62,24 @@ def test_episode_spec_validation():
         EpisodeSpec(reg_lambda=-1.0)
     with pytest.raises(ValueError):
         EpisodeSpec(reg_lambda=np.nan)
-    with pytest.raises(ValueError):
-        EpisodeSpec(max_iterations=0)
-    assert EpisodeSpec(reg_lambda=0.0, max_iterations=1).reg_lambda == 0.0
+    assert EpisodeSpec(reg_lambda=0.0).reg_lambda == 0.0
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (EpisodeSpec, "ways", 3.9),
+        (EpisodeSpec, "episodes", True),
+        (EpisodeSpec, "reg_lambda", "1"),
+        (ProbeConfig, "max_iterations", 2.5),
+        (ProbeConfig, "normalize_features", "no"),
+        (ProbeConfig, "normalize_features", 1),
+        (ProbeConfig, "val_fraction", None),
+    ],
+)
+def test_eval_config_fields_are_type_checked(make, field, value):
+    with pytest.raises(ValueError, match=field):
+        make(**{field: value})
 
 
 def test_eval_report_validation():

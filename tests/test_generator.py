@@ -384,3 +384,4 @@ def test_config_roundtrip():
     cfg = small_cfg(guidance_scale=4.0)
     again = GeneratorConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+    assert again == cfg

@@ -580,6 +580,15 @@ def test_checkpoint_opt_step_other_than_step_is_rejected(tmp_path):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("field", ["batch_spec", "encoder", "text_encoder"])
+def test_checkpoint_train_config_entry_that_is_no_object_is_rejected(tmp_path, field):
+    path, raw, _, _ = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, raw, lambda h: h["meta"]["train_config"].update({field: 5}))
+    with pytest.raises(ValueError, match="meta field 'train_config' is invalid") as exc:
+        load_checkpoint(str(path))
+    assert str(path) in str(exc.value)
+
+
 def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
     path, raw, _, _ = _saved_checkpoint(tmp_path)
     for junk in (b"\x00", b"trailing junk" * 3):
