@@ -7,8 +7,6 @@ probe and a few-shot episode suite. Runs at the default schedule; expect
 about a minute end to end.
 """
 
-import numpy as np
-
 from synthrep import (
     BatchSpec,
     Encoder,
@@ -73,7 +71,7 @@ def main():
             eval_man.class_ids[fit_rows],
             feats[test_rows],
             eval_man.class_ids[test_rows],
-            ProbeConfig(reg_grid=np.logspace(-5, 2, 15), seed=6),
+            ProbeConfig(seed=6),
         )
         few = fewshot_eval(
             feats,

@@ -203,17 +203,21 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
 
 
 def _resolve_seed(ns: argparse.Namespace, cfg: dict) -> int:
+    """The master seed from --seed, else SYNTHREP_SEED, else the config."""
     if getattr(ns, "seed", None) is not None:
-        return int(ns.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        source, seed = "--seed", ns.seed
+    elif os.environ.get(SEED_ENV_VAR) is not None:
+        source, raw = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
         try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise CliError(f"config seed must be an integer, got {json.dumps(seed)}")
+            seed = int(raw)
+        except ValueError:
+            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    else:
+        source, seed = "config seed", cfg["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise CliError(f"config seed must be an integer, got {json.dumps(seed)}")
+    if seed < 0:
+        raise CliError(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -399,6 +403,8 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
 def _cmd_train(ns: argparse.Namespace) -> int:
     cfg = _resolve_config(ns)
     seed = _resolve_seed(ns, cfg)
+    if ns.checkpoint_every < 0:
+        raise CliError(f"--checkpoint-every must be >= 0, got {ns.checkpoint_every}")
     manifest = read_manifest(ns.data)
     tcfg = _train_config(cfg, manifest.config.feature_dim, seed)
     with _Staging(ns.out, ns.force) as staging:
@@ -518,34 +524,36 @@ def _sweep_eval_split(cfg: dict, seed: int):
     return manifest, train_rows, test_rows
 
 
-def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
-    """Resolve one sweep cell into (config, train manifest, numeric axis value)."""
+def _sweep_point(axis: str, raw_value: str, cfg: dict):
+    """Resolve one sweep cell into (config, numeric axis value); the value is
+    None for a named guidance group."""
     cell = json.loads(json.dumps(cfg))
-    numeric: float | None = None
+    if axis == "w" and raw_value in GUIDANCE_GROUPS:
+        cell["data"]["guidance_scales"] = raw_value
+        return cell, None
+    if axis not in ("w", "m", "l", "epochs"):
+        raise CliError(f"unknown sweep axis {axis!r}")
+    kind, what = (float, "a number") if axis == "w" else (int, "an integer")
+    try:
+        value = kind(raw_value)
+    except ValueError:
+        raise CliError(f"sweep axis {axis!r} takes {what}, got {raw_value!r}") from None
     if axis == "w":
-        if raw_value in GUIDANCE_GROUPS:
-            cell["data"]["guidance_scales"] = raw_value
-        else:
-            numeric = float(raw_value)
-            cell["generator"]["guidance_scale"] = numeric
-            cell["data"]["guidance_scales"] = None
+        cell["generator"]["guidance_scale"] = value
+        cell["data"]["guidance_scales"] = None
     elif axis == "m":
-        m = int(raw_value)
-        numeric = float(m)
-        if m == 1:
+        if value == 1:
             cell["train"]["loss_variant"] = "simclr_reduction"
             cell["train"]["batch_spec"]["samples_per_caption"] = 2
         else:
             cell["train"]["loss_variant"] = "multi_positive"
-            cell["train"]["batch_spec"]["samples_per_caption"] = m
+            cell["train"]["batch_spec"]["samples_per_caption"] = value
     elif axis == "l":
-        l = int(raw_value)
-        numeric = float(l)
         total = int(cell["data"]["num_captions"]) * int(cell["data"]["images_per_caption"])
-        budget = split_budget(total, l)
+        budget = split_budget(total, value)
         cell["data"]["num_captions"] = budget.num_captions
-        cell["data"]["images_per_caption"] = l
-        m = min(int(cell["train"]["batch_spec"]["samples_per_caption"]), l)
+        cell["data"]["images_per_caption"] = value
+        m = min(int(cell["train"]["batch_spec"]["samples_per_caption"]), value)
         if m == 1:
             cell["train"]["loss_variant"] = "simclr_reduction"
             m = 2
@@ -560,12 +568,9 @@ def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
         ):
             n -= 1
         cell["train"]["batch_spec"]["num_captions"] = n
-    elif axis == "epochs":
-        numeric = float(int(raw_value))
-        cell["train"]["epochs"] = int(raw_value)
     else:
-        raise CliError(f"unknown sweep axis {axis!r}")
-    return cell, numeric
+        cell["train"]["epochs"] = value
+    return cell, float(value)
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -574,6 +579,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     values = [v.strip() for v in ns.values.split(",") if v.strip()]
     if not values:
         raise CliError("--values must list at least one value")
+    cells = [_sweep_point(ns.axis, raw, cfg) for raw in values]
 
     with _Staging(ns.out, ns.force) as staging:
         eval_manifest, eval_train_rows, eval_test_rows = _sweep_eval_split(cfg, seed)
@@ -584,8 +590,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             write_manifest(shared_manifest, staging.path("dataset", "manifest.jsonl"))
 
         reports, numerics = [], []
-        for raw in values:
-            cell, numeric = _sweep_point(ns.axis, raw, cfg, seed)
+        for raw, (cell, numeric) in zip(values, cells):
             label = f"{ns.axis}_{raw}"
             if shared_manifest is not None:
                 manifest = shared_manifest

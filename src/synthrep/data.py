@@ -12,15 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import PromptSpec, prompt_from_text
-from .manifest import DatasetManifest, _read_text
+from .manifest import _read_text
 from .seeding import SALT_AUGMENT, SALT_BATCH, _check_numbers, rng_from
 
 __all__ = [
-    "CaptionRecord",
-    "GenerationBudget",
     "BatchSpec",
-    "Batch",
-    "normalize_text",
     "load_captions",
     "synth_captions",
     "dedup_captions",
@@ -158,36 +154,6 @@ class BatchSpec:
         return self.num_captions * self.samples_per_caption
 
 
-@dataclass
-class Batch:
-    """C feature rows in caption-major order with parallel caption ids."""
-
-    features: np.ndarray  # (C, d)
-    caption_ids: np.ndarray  # (C,)
-
-    def __post_init__(self) -> None:
-        c = self.features.shape[0]
-        if self.caption_ids.shape != (c,):
-            raise ValueError("caption_ids must parallel features")
-        # caption-major: equal-length contiguous runs of each distinct id
-        ids = self.caption_ids
-        boundaries = np.flatnonzero(np.diff(ids) != 0)
-        runs = np.diff(np.concatenate(([0], boundaries + 1, [c])))
-        run_ids = ids[np.concatenate(([0], boundaries + 1))]
-        if len(set(run_ids.tolist())) != run_ids.size:
-            raise ValueError("caption runs are not contiguous (not caption-major)")
-        if np.min(runs) != np.max(runs):
-            raise ValueError("unequal samples per caption in batch")
-
-    @property
-    def num_captions(self) -> int:
-        return int(np.unique(self.caption_ids).size)
-
-    @property
-    def samples_per_caption(self) -> int:
-        return int(self.features.shape[0] // self.num_captions)
-
-
 def augment_batch(features: np.ndarray, strength: float, seed: int) -> np.ndarray:
     """Additive Gaussian noise then uniform rescaling of each row, seeded.
 
@@ -207,40 +173,22 @@ def augment_batch(features: np.ndarray, strength: float, seed: int) -> np.ndarra
 
 
 def sample_batch(
-    manifest: DatasetManifest,
-    spec: BatchSpec,
+    caption_rows: dict[int, np.ndarray],
+    caption_ids: np.ndarray,
+    samples_per_caption: int,
     seed: int,
-    caption_ids: np.ndarray | None = None,
-) -> Batch:
-    """Draw n captions, then m of each caption's samples, without replacement.
+) -> np.ndarray:
+    """Manifest rows of a caption-major batch: for each caption in the given
+    order, `samples_per_caption` of its rows drawn without replacement.
 
-    When `caption_ids` is given those captions are used in the given order and
-    only the within-caption subset is random; this is how epoch passes walk a
-    caption permutation. Feature rows are copied verbatim from the manifest.
+    `caption_rows` maps each caption id to its manifest rows in manifest
+    order; epoch passes supply the captions as a slice of a permutation.
     """
     rng = rng_from(SALT_BATCH, seed)
-    n, m = spec.num_captions, spec.samples_per_caption
-    if caption_ids is None:
-        pool = manifest.unique_caption_ids
-        if pool.size < n:
-            raise ValueError(f"need {n} captions, manifest has {pool.size}")
-        caption_ids = pool[rng.choice(pool.size, size=n, replace=False)]
-    else:
-        caption_ids = np.asarray(caption_ids)
-        if caption_ids.size != n:
-            raise ValueError("explicit caption list must match spec.num_captions")
-
-    rows = np.empty(n * m, dtype=np.int64)
+    m = samples_per_caption
+    rows = np.empty(len(caption_ids) * m, dtype=np.int64)
     for j, cid in enumerate(caption_ids):
-        avail = manifest.rows_for_caption(int(cid))
-        if avail.size < m:
-            raise ValueError(
-                f"caption {int(cid)} has {avail.size} samples, need {m}"
-            )
+        avail = caption_rows[int(cid)]
         pick = rng.choice(avail.size, size=m, replace=False)
         rows[j * m : (j + 1) * m] = avail[pick]
-
-    return Batch(
-        features=manifest.features[rows].copy(),
-        caption_ids=manifest.caption_ids[rows].copy(),
-    )
+    return rows

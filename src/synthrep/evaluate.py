@@ -10,7 +10,7 @@ penalty and averaging query accuracy over episodes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ProbeConfig",
     "EpisodeSpec",
     "EvalReport",
-    "default_reg_grid",
     "fit_logreg",
     "stratified_split",
     "linear_probe",
@@ -32,14 +31,13 @@ __all__ = [
 ]
 
 
-def default_reg_grid() -> np.ndarray:
-    """45 logarithmically spaced l2 penalties from 1e-6 to 1e5."""
-    return np.logspace(-6.0, 5.0, 45)
+# the linear probe's l2 penalties: 45 logarithmically spaced from 1e-6 to 1e5
+REG_GRID = np.logspace(-6.0, 5.0, 45)
+REG_GRID.flags.writeable = False
 
 
 @dataclass
 class ProbeConfig:
-    reg_grid: np.ndarray = field(default_factory=default_reg_grid)
     max_iterations: int = 500
     normalize_features: bool = False
     val_fraction: float = 0.2
@@ -47,13 +45,6 @@ class ProbeConfig:
 
     def __post_init__(self) -> None:
         _check_numbers(self)
-        self.reg_grid = np.asarray(self.reg_grid, dtype=float)
-        if self.reg_grid.ndim != 1 or self.reg_grid.size < 1:
-            raise ValueError("reg_grid must be a non-empty vector")
-        if np.any(np.diff(self.reg_grid) <= 0):
-            raise ValueError("reg_grid must be strictly increasing")
-        if not np.all((self.reg_grid >= 0) & np.isfinite(self.reg_grid)):
-            raise ValueError("reg_grid penalties must be finite and nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.val_fraction < 1:
@@ -91,6 +82,10 @@ class EvalReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must lie in [0, 1]")
+        if not 0.0 <= self.ci95 < np.inf:
+            raise ValueError(f"ci95 must be finite and >= 0, not {self.ci95!r}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, not {self.count!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -341,11 +336,11 @@ def linear_probe(
 
     fit_rows, val_rows = stratified_split(y, cfg.val_fraction, cfg.seed)
     w, b, converged = fit_logreg(
-        x[fit_rows], y[fit_rows], k, cfg.reg_grid, cfg.max_iterations
+        x[fit_rows], y[fit_rows], k, REG_GRID, cfg.max_iterations
     )
     val_curve = _accuracy(w, b, x[val_rows], y[val_rows])
     best = int(np.argmax(val_curve))  # ties keep the smaller (earlier) penalty
-    best_lam, best_acc = float(cfg.reg_grid[best]), float(val_curve[best])
+    best_lam, best_acc = float(REG_GRID[best]), float(val_curve[best])
 
     w, b, _ = fit_logreg(x, y, k, best_lam, cfg.max_iterations)
     acc = float(_accuracy(w, b, xt, yt))
@@ -356,9 +351,9 @@ def linear_probe(
         ci95=float(ci),
         count=int(yt.size),
         config={
-            "reg_grid_size": int(cfg.reg_grid.size),
-            "reg_grid_min": float(cfg.reg_grid[0]),
-            "reg_grid_max": float(cfg.reg_grid[-1]),
+            "reg_grid_size": REG_GRID.size,
+            "reg_grid_min": float(REG_GRID[0]),
+            "reg_grid_max": float(REG_GRID[-1]),
             "max_iterations": cfg.max_iterations,
             "normalize_features": cfg.normalize_features,
             "val_fraction": cfg.val_fraction,

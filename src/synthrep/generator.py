@@ -32,17 +32,13 @@ from .seeding import (
 
 __all__ = [
     "PromptSpec",
-    "DiffusionSchedule",
     "GeneratorConfig",
-    "SyntheticSample",
     "prompt_from_text",
     "class_center",
     "caption_offset",
     "caption_to_component",
     "epsilon_cond",
     "epsilon_uncond",
-    "cfg_epsilon",
-    "ddim_sample",
     "generate_dataset",
 ]
 
@@ -158,16 +154,6 @@ class GeneratorConfig:
         return GeneratorConfig(**d)
 
 
-@dataclass(frozen=True)
-class SyntheticSample:
-    """One generated feature vector and the identifiers that reproduce it."""
-
-    caption_id: int
-    feature: np.ndarray
-    latent_seed: int
-    guidance_scale: float
-
-
 def class_center(class_id: int, cfg: GeneratorConfig) -> np.ndarray:
     """Center of a class component; a pure function of (class_id, cfg)."""
     rng = rng_from(SALT_CLASS_CENTER, class_id)
@@ -199,7 +185,7 @@ def _level(schedule: DiffusionSchedule, index: int) -> tuple[float, float]:
 
 
 # -- noise-prediction kernels. Each formula has this one implementation; the
-# public per-sample functions and the whole-dataset trajectory all call it.
+# public epsilon functions and the whole-dataset trajectory both call it.
 
 
 def _cond_eps(
@@ -234,10 +220,6 @@ def _mixture_eps(
     return (z - alpha * m) / sigma
 
 
-def _blend(w, eps_c: np.ndarray, eps_u: np.ndarray) -> np.ndarray:
-    return w * eps_c + (1.0 - w) * eps_u
-
-
 def epsilon_cond(
     z: np.ndarray, level_index: int, prompt: PromptSpec, cfg: GeneratorConfig
 ) -> np.ndarray:
@@ -266,21 +248,6 @@ def epsilon_uncond(z: np.ndarray, level_index: int, cfg: GeneratorConfig) -> np.
     """
     alpha, sigma = _level(cfg.schedule, level_index)
     return _mixture_eps(np.asarray(z, dtype=float), _class_centers(cfg), alpha, sigma, cfg)
-
-
-def cfg_epsilon(
-    z: np.ndarray,
-    level_index: int,
-    prompt: PromptSpec,
-    cfg: GeneratorConfig,
-    guidance_scale: float | None = None,
-) -> np.ndarray:
-    """Classifier-free-guided prediction: w * eps_cond + (1 - w) * eps_uncond."""
-    w = cfg.guidance_scale if guidance_scale is None else guidance_scale
-    eps_c = epsilon_cond(z, level_index, prompt, cfg)
-    if w == 1.0:
-        return eps_c
-    return _blend(w, eps_c, epsilon_uncond(z, level_index, cfg))
 
 
 # guided rows per mixture evaluation: bounds the (rows, K, d) temporaries
@@ -317,7 +284,7 @@ def _ddim_trajectory(
             eps = _cond_eps(z, means, alpha, sigma, cfg)
             for rows in blocks:
                 eps_u = _mixture_eps(z[rows], centers, alpha, sigma, cfg)
-                eps[rows] = _blend(w[rows], eps[rows], eps_u)
+                eps[rows] = w[rows] * eps[rows] + (1.0 - w[rows]) * eps_u
             x_hat = (z - sigma * eps) / alpha
             if not np.all(np.isfinite(x_hat)):
                 raise SamplerNumericsError(f"non-finite intermediate at step {i}")
@@ -325,25 +292,6 @@ def _ddim_trajectory(
                 alpha_next, sigma_next = _level(schedule, i + 1)
                 z = alpha_next * x_hat + sigma_next * eps
     return x_hat
-
-
-def ddim_sample(
-    prompt: PromptSpec,
-    latent_seed: int,
-    cfg: GeneratorConfig,
-    guidance_scale: float | None = None,
-) -> SyntheticSample:
-    """Generate one sample; bit-identical for identical (prompt, seed, cfg)."""
-    w = float(cfg.guidance_scale if guidance_scale is None else guidance_scale)
-    z0 = rng_from(latent_seed).standard_normal(cfg.feature_dim)
-    mu, _ = caption_to_component(prompt, cfg)
-    x = _ddim_trajectory(z0[None], mu[None], np.array([[w]]), _class_centers(cfg), cfg)[0]
-    return SyntheticSample(
-        caption_id=prompt.caption_id,
-        feature=x,
-        latent_seed=int(latent_seed),
-        guidance_scale=w,
-    )
 
 
 def generate_dataset(

@@ -24,7 +24,6 @@ from .encoder import _l2norm_bwd, _l2norm_fwd
 
 __all__ = [
     "EmbeddingBatch",
-    "LossOutput",
     "contrastive_distribution",
     "match_distribution",
     "multi_positive_loss",

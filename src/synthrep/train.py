@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Batch, BatchSpec, augment_batch, sample_batch
+from .data import BatchSpec, augment_batch, sample_batch
 from .encoder import Encoder, EncoderConfig
 from .generator import caption_to_component
 from .losses import EmbeddingBatch, multi_positive_loss, pair_contrastive_loss
@@ -24,7 +24,6 @@ from .manifest import DatasetManifest, _read_field, canonical_json, fmt_float, j
 from .seeding import SALT_EPOCH, _check_numbers, derive_u64, rng_from
 
 __all__ = [
-    "LOSS_VARIANTS",
     "TrainConfig",
     "TrainState",
     "TrainingDivergedError",
@@ -36,7 +35,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_metrics",
-    "train_config_hash",
 ]
 
 LOSS_VARIANTS = (
@@ -254,6 +252,14 @@ class Trainer:
         self.total_steps = forwards_target // (n * m)
         self.steps_per_pass = n_caps // n
         self.steps_per_epoch = self.total_steps / cfg.epochs
+        # caption id -> its rows in manifest order (the argsort is stable)
+        order = np.argsort(manifest.caption_ids, kind="stable")
+        ids = manifest.caption_ids[order]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        self.caption_rows = dict(zip(ids[starts].tolist(), np.split(order, starts[1:])))
+        fewest = min(rows.size for rows in self.caption_rows.values())
+        if cfg.loss_variant != "simclr_reduction" and fewest < m:
+            raise ValueError(f"batches take {m} samples per caption; a caption has {fewest}")
         self._perm_cache: tuple[int, np.ndarray] | None = None
         self._text_cache: dict[int, np.ndarray] = {}
 
@@ -279,28 +285,23 @@ class Trainer:
             self._text_cache[caption_id] = mean
         return self._text_cache[caption_id]
 
-    def assemble(self, step: int) -> tuple[Batch, np.ndarray | None]:
-        """Batch (and text inputs) for a step; pure function of (seed, step)."""
+    def assemble(self, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(features, caption ids, text inputs or None) of a step's caption-major
+        batch; a pure function of (seed, step)."""
         cfg = self.cfg
         cids = self._caption_slice(step)
+        m = cfg.batch_spec.samples_per_caption
         step_seed = derive_u64(cfg.seed, 2, step)
         if cfg.loss_variant == "simclr_reduction":
-            # two views of each caption's first image, caption-major
-            rows = np.array(
-                [self.manifest.rows_for_caption(int(c))[0] for c in cids]
-            )
-            feats = np.repeat(self.manifest.features[rows], 2, axis=0)
-            ids = np.repeat(cids, 2)
-            batch = Batch(features=feats, caption_ids=ids)
+            # two views of each caption's first image
+            rows = np.repeat([self.caption_rows[int(c)][0] for c in cids], m)
         else:
-            batch = sample_batch(self.manifest, cfg.batch_spec, step_seed, caption_ids=cids)
-        feats = augment_batch(batch.features, cfg.augment_strength, step_seed)
-        batch = Batch(features=feats, caption_ids=batch.caption_ids)
-
+            rows = sample_batch(self.caption_rows, cids, m, step_seed)
+        feats = augment_batch(self.manifest.features[rows], cfg.augment_strength, step_seed)
         texts = None
         if cfg.uses_text:
             texts = np.stack([self._text_input(int(c)) for c in cids])
-        return batch, texts
+        return feats, np.repeat(cids, m), texts
 
     # -- one optimization step ---------------------------------------------------
 
@@ -310,11 +311,11 @@ class Trainer:
         with np.errstate(over="ignore", invalid="ignore"):
             cfg = self.cfg
             lr = lr_at(ts.step, cfg, self.steps_per_epoch)
-            batch, texts = self.assemble(ts.step)
+            feats, caption_ids, texts = self.assemble(ts.step)
 
             # forward every tower: the image tower, then the text tower
             params, tapes, projs = [], [], []
-            for (prefix, enc), x in zip(self.towers, (batch.features, texts)):
+            for (prefix, enc), x in zip(self.towers, (feats, texts)):
                 params.append(sub_params(ts.params, prefix))
                 state = sub_params(ts.norm_state, prefix)
                 _, proj, tape = enc.forward(params[-1], x, state=state, training=True)
@@ -327,13 +328,13 @@ class Trainer:
                 projs.append(proj)
 
             # the loss terms: (loss, gradient for each tower it reaches)
-            images = EmbeddingBatch(projs[0], batch.caption_ids)
+            images = EmbeddingBatch(projs[0], caption_ids)
             terms = []
             if cfg.loss_variant != "pair_only":
                 out = multi_positive_loss(images, cfg.tau)
                 terms.append((out.loss, out.grad_embeddings))
             if cfg.uses_text:
-                text_ids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
+                text_ids = caption_ids[:: cfg.batch_spec.samples_per_caption]
                 terms.append(pair_contrastive_loss(images, projs[1], text_ids, cfg.tau))
             # summed from the first term, not from zero, since 0.0 + -0.0 is +0.0
             loss, *grad_projs = terms[0]

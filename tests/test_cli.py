@@ -159,6 +159,26 @@ def test_seed_resolution_order(workdir, monkeypatch):
     assert json.load(open(os.path.join(out_default, "provenance.json")))["seed"] == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_negative_seed_is_refused_naming_its_source(workdir, capsys, monkeypatch, tmp_path, source):
+    root, cfg = workdir
+    out = str(tmp_path / "never")
+    argv = ["generate", "--config", cfg, "--out", out]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        expected = "--seed must be a non-negative integer, got -1"
+    elif source == "env":
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        expected = f"{SEED_ENV_VAR} must be a non-negative integer, got -3"
+    else:
+        argv += ["--set", "seed=-2"]
+        expected = "config seed must be a non-negative integer, got -2"
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert _single_json_error(capsys, "generate") == expected
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("value", ["null", '"5"', "[1]", "1.5", "true"])
 def test_non_integer_config_seed_is_json_error(workdir, capsys, tmp_path, value):
     root, cfg = workdir
@@ -269,6 +289,19 @@ def test_train_on_edited_manifest_is_json_error(workdir, generated, capsys, tmp_
     assert code == 1
     error = _single_json_error(capsys, "train")
     assert str(bad) in error and "content hash mismatch" in error
+    assert not os.path.exists(out)
+
+
+def test_negative_checkpoint_interval_is_json_error(workdir, generated, capsys, tmp_path):
+    root, cfg = workdir
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["train", "--config", cfg, "--seed", "5", "--data",
+         os.path.join(generated, "manifest.jsonl"), "--checkpoint-every", "-1", "--out", out]
+    )
+    assert code == 1
+    assert _single_json_error(capsys, "train") == "--checkpoint-every must be >= 0, got -1"
     assert not os.path.exists(out)
 
 
@@ -711,6 +744,12 @@ def test_probe_bad_feature_record_is_json_error(
          "report field 'details' is invalid"),
         ({"kind": "fewshot", "accuracy": 1.5, "ci95": 0.1, "count": 4},
          "accuracy must lie in [0, 1]"),
+        ({"kind": "fewshot", "accuracy": 0.5, "ci95": float("nan"), "count": 4},
+         "ci95 must be finite and >= 0"),
+        ({"kind": "fewshot", "accuracy": 0.5, "ci95": -0.5, "count": 4},
+         "ci95 must be finite and >= 0"),
+        ({"kind": "fewshot", "accuracy": 0.5, "ci95": 0.1, "count": 0}, "count must be >= 1"),
+        ({"kind": "fewshot", "accuracy": 0.5, "ci95": 0.1, "count": -5}, "count must be >= 1"),
     ],
 )
 def test_report_with_bad_payload_is_json_error(capsys, tmp_path, payload, message):
@@ -869,6 +908,25 @@ def test_sweep_l_splits_a_fixed_budget(workdir):
         assert tcfg.batch_spec.samples_per_caption == m
     assert not os.path.exists(os.path.join(out, "dataset"))
     assert os.path.exists(os.path.join(out, "summary.svg"))
+
+
+@pytest.mark.parametrize(
+    "axis, value, kind",
+    [("w", "abc", "a number"), ("m", "abc", "an integer"), ("m", "2.5", "an integer"),
+     ("l", "x", "an integer"), ("epochs", "1e3", "an integer")],
+)
+def test_sweep_value_of_the_wrong_kind_is_json_error(workdir, capsys, tmp_path, axis, value, kind):
+    root, cfg = workdir
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["sweep", "--config", cfg, "--seed", "5", "--axis", axis,
+         "--values", f"1,{value}", "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "sweep")
+    assert error == f"sweep axis {axis!r} takes {kind}, got {value!r}"
+    assert not os.path.exists(out)
 
 
 def test_sweep_epochs_shares_one_dataset(workdir):

@@ -3,7 +3,6 @@ import pytest
 from scipy.special import gammaln
 
 from synthrep.data import (
-    Batch,
     BatchSpec,
     augment_batch,
     dedup_captions,
@@ -13,13 +12,21 @@ from synthrep.data import (
     split_budget,
     synth_captions,
 )
+from synthrep.encoder import EncoderConfig
 from synthrep.generator import GeneratorConfig, generate_dataset
+from synthrep.manifest import DatasetManifest
+from synthrep.seeding import SALT_BATCH, derive_u64, rng_from
+from synthrep.train import TrainConfig, Trainer
 
 
 def toy_manifest(num_captions=8, per_caption=5):
     cfg = GeneratorConfig(feature_dim=4, num_classes=3, ddim_steps=5)
     recs = synth_captions(num_captions, 3, seed=1)
     return generate_dataset([r.prompt for r in recs], per_caption, cfg, seed=2)
+
+
+def rows_by_caption(man):
+    return {int(c): np.flatnonzero(man.caption_ids == c) for c in man.unique_caption_ids}
 
 
 def test_normalize_text():
@@ -76,15 +83,6 @@ def test_batch_spec_and_total():
     assert BatchSpec(np.int64(4), 3).total == 12
 
 
-def test_batch_validates_caption_major_layout():
-    feats = np.zeros((6, 2))
-    Batch(feats, np.array([3, 3, 1, 1, 2, 2]))  # fine
-    with pytest.raises(ValueError):
-        Batch(feats, np.array([3, 1, 3, 1, 2, 2]))  # interleaved
-    with pytest.raises(ValueError):
-        Batch(feats, np.array([3, 3, 3, 1, 2, 2]))  # unequal runs
-
-
 def test_augment_strength_zero_is_copy():
     x = np.arange(8.0).reshape(2, 4)
     y = augment_batch(x, 0.0, seed=4)
@@ -129,59 +127,95 @@ def test_augment_batch_matches_elementwise_structure():
 
 def test_sample_batch_shapes_and_membership():
     man = toy_manifest()
-    spec = BatchSpec(4, 3)
-    batch = sample_batch(man, spec, seed=21)
-    assert batch.features.shape == (12, 4)
-    assert batch.num_captions == 4
-    assert batch.samples_per_caption == 3
-    # every row must be an exact manifest row of its caption
-    for i in range(12):
-        rows = man.rows_for_caption(int(batch.caption_ids[i]))
-        assert any(np.array_equal(batch.features[i], man.features[r]) for r in rows)
-    # within a caption, no sample repeats
-    for cid in np.unique(batch.caption_ids):
-        sel = batch.features[batch.caption_ids == cid]
-        assert len({tuple(row) for row in sel}) == len(sel)
+    table = rows_by_caption(man)
+    cids = man.unique_caption_ids[[6, 1, 3, 0]]
+    rows = sample_batch(table, cids, 3, seed=21)
+    assert rows.shape == (12,)
+    # caption-major: three distinct rows of each caption, in the given order
+    np.testing.assert_array_equal(man.caption_ids[rows], np.repeat(cids, 3))
+    for j in range(4):
+        assert len(set(rows[3 * j : 3 * j + 3].tolist())) == 3
 
 
 def test_sample_batch_deterministic_and_seed_sensitive():
     man = toy_manifest()
-    spec = BatchSpec(3, 2)
-    b1 = sample_batch(man, spec, seed=33)
-    b2 = sample_batch(man, spec, seed=33)
-    np.testing.assert_array_equal(b1.features, b2.features)
-    b3 = sample_batch(man, spec, seed=34)
-    assert not np.array_equal(b1.features, b3.features)
+    table = rows_by_caption(man)
+    cids = man.unique_caption_ids[:3]
+    r1 = sample_batch(table, cids, 2, seed=33)
+    np.testing.assert_array_equal(r1, sample_batch(table, cids, 2, seed=33))
+    assert not np.array_equal(r1, sample_batch(table, cids, 2, seed=34))
 
 
 def test_sample_batch_explicit_caption_walk():
+    # rows follow the caption order they are given
     man = toy_manifest()
-    spec = BatchSpec(3, 2)
+    table = rows_by_caption(man)
     want = man.unique_caption_ids[[5, 0, 2]]
-    batch = sample_batch(man, spec, seed=1, caption_ids=want)
-    np.testing.assert_array_equal(batch.caption_ids[::2], want)
-    with pytest.raises(ValueError):
-        sample_batch(man, spec, seed=1, caption_ids=want[:2])
-
-
-def test_sample_batch_uniform_caption_coverage():
-    # unconstrained draws should hit every caption roughly equally
-    man = toy_manifest(num_captions=6, per_caption=4)
-    spec = BatchSpec(3, 2)
-    counts = np.zeros(6)
-    trials = 3000
-    for s in range(trials):
-        batch = sample_batch(man, spec, seed=s)
-        for cid in np.unique(batch.caption_ids):
-            counts[list(man.unique_caption_ids).index(cid)] += 1
-    expected = trials * 3 / 6
-    sd = np.sqrt(trials * (3 / 6) * (1 - 3 / 6))
-    assert np.all(np.abs(counts - expected) < 6 * sd)
+    rows = sample_batch(table, want, 2, seed=1)
+    np.testing.assert_array_equal(man.caption_ids[rows][::2], want)
+    again = sample_batch(table, want[[1, 0, 2]], 2, seed=1)
+    np.testing.assert_array_equal(man.caption_ids[again][::2], want[[1, 0, 2]])
 
 
 def test_sample_batch_requires_enough_samples():
     man = toy_manifest(per_caption=2)
     with pytest.raises(ValueError):
-        sample_batch(man, BatchSpec(2, 3), seed=0)
-    with pytest.raises(ValueError):
-        sample_batch(man, BatchSpec(9, 1), seed=0)
+        sample_batch(rows_by_caption(man), man.unique_caption_ids[:2], 3, seed=0)
+    cfg = TrainConfig(
+        batch_spec=BatchSpec(2, 3),
+        epochs=3,
+        warmup_epochs=0.0,
+        encoder=EncoderConfig(input_dim=4, mlp_widths=(8,), head_hidden=8, head_out=4),
+    )
+    with pytest.raises(ValueError, match="3 samples per caption; a caption has 2"):
+        Trainer(man, cfg)
+
+
+def interleaved(man, seed):
+    """The manifest with its rows permuted, so caption rows interleave."""
+    perm = np.random.default_rng(seed).permutation(man.num_samples)
+    return DatasetManifest(
+        config=man.config,
+        master_seed=man.master_seed,
+        caption_ids=man.caption_ids[perm],
+        class_ids=man.class_ids[perm],
+        prompt_seeds=man.prompt_seeds[perm],
+        latent_seeds=man.latent_seeds[perm],
+        guidance_scales=man.guidance_scales[perm],
+        features=man.features[perm],
+        sampler=man.sampler,
+    )
+
+
+@pytest.mark.parametrize("variant, m", [("multi_positive", 3), ("simclr_reduction", 2)])
+def test_assemble_on_interleaved_manifest_matches_a_caption_scan(variant, m):
+    # the row table must keep each caption's rows in manifest order; a manifest
+    # from generate_dataset stores them contiguously, which hides an unstable sort
+    man = interleaved(toy_manifest(num_captions=8, per_caption=5), seed=3)
+    assert np.any(np.diff(man.caption_ids[:10]) != 0)
+    cfg = TrainConfig(
+        batch_spec=BatchSpec(4, m),
+        loss_variant=variant,
+        epochs=6,
+        warmup_epochs=0.0,
+        augment_strength=0.2,
+        encoder=EncoderConfig(input_dim=4, mlp_widths=(8,), head_hidden=8, head_out=4),
+        seed=7,
+    )
+    trainer = Trainer(man, cfg)
+    for step in range(trainer.total_steps):
+        feats, ids, texts = trainer.assemble(step)
+        cids = trainer._caption_slice(step)
+        step_seed = derive_u64(cfg.seed, 2, step)
+        scans = [np.flatnonzero(man.caption_ids == c) for c in cids]
+        if variant == "simclr_reduction":
+            rows = np.repeat([scan[0] for scan in scans], 2)
+        else:
+            rng = rng_from(SALT_BATCH, step_seed)
+            rows = np.concatenate(
+                [scan[rng.choice(scan.size, size=m, replace=False)] for scan in scans]
+            )
+        expected = augment_batch(man.features[rows], cfg.augment_strength, step_seed)
+        np.testing.assert_array_equal(feats, expected)
+        np.testing.assert_array_equal(ids, man.caption_ids[rows])
+        assert texts is None

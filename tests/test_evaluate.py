@@ -7,10 +7,10 @@ from scipy.special import logsumexp
 
 from synthrep.encoder import Encoder, EncoderConfig
 from synthrep.evaluate import (
+    REG_GRID,
     EpisodeSpec,
     EvalReport,
     ProbeConfig,
-    default_reg_grid,
     encode_dataset,
     fewshot_eval,
     fit_logreg,
@@ -31,28 +31,22 @@ def clustered(num_classes, per_class, dim, spread, seed):
 
 
 def test_default_grid_shape_and_endpoints():
-    grid = default_reg_grid()
-    np.testing.assert_array_equal(grid, np.logspace(-6.0, 5.0, 45))
-    assert grid.size == 45
-    assert grid[0] == 1e-6
-    assert grid[-1] == 1e5
-    assert np.all(np.diff(grid) > 0)
+    np.testing.assert_array_equal(REG_GRID, np.logspace(-6.0, 5.0, 45))
+    assert REG_GRID.size == 45
+    assert REG_GRID[0] == 1e-6
+    assert REG_GRID[-1] == 1e5
+    assert np.all(np.diff(REG_GRID) > 0)
+    with pytest.raises(ValueError):
+        REG_GRID[0] = 1.0
 
 
 def test_probe_config_validation():
-    with pytest.raises(ValueError):
-        ProbeConfig(reg_grid=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        ProbeConfig(reg_grid=np.array([]))
     with pytest.raises(ValueError):
         ProbeConfig(max_iterations=0)
     with pytest.raises(ValueError):
         ProbeConfig(val_fraction=1.0)
     with pytest.raises(ValueError):
-        ProbeConfig(reg_grid=np.array([-1.0, 1.0]))  # unbounded below
-    with pytest.raises(ValueError):
-        ProbeConfig(reg_grid=np.array([1.0, np.inf]))
-    assert ProbeConfig(reg_grid=np.array([0.0, 1.0])).reg_grid[0] == 0.0
+        ProbeConfig(val_fraction=0.0)
 
 
 def test_episode_spec_validation():
@@ -85,6 +79,16 @@ def test_eval_config_fields_are_type_checked(make, field, value):
 def test_eval_report_validation():
     with pytest.raises(ValueError):
         EvalReport(kind="x", accuracy=1.5, ci95=0.0, count=1, config={}, details={})
+    for field, value, message in [
+        ("ci95", float("nan"), "ci95 must be finite and >= 0"),
+        ("ci95", float("inf"), "ci95 must be finite and >= 0"),
+        ("ci95", -0.1, "ci95 must be finite and >= 0"),
+        ("count", 0, "count must be >= 1"),
+        ("count", -5, "count must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            EvalReport(**{"kind": "x", "accuracy": 0.5, "ci95": 0.1, "count": 4,
+                          "config": {}, "details": {}, field: value})
     rep = EvalReport(kind="x", accuracy=0.5, ci95=0.1, count=4, config={}, details={})
     d = rep.to_dict()
     assert d["kind"] == "x" and d["accuracy"] == 0.5 and d["count"] == 4
@@ -277,12 +281,13 @@ def test_stratified_split_leaves_both_sides_nonempty():
 def test_probe_separable_data_is_perfect():
     x, y = clustered(3, 40, 6, spread=0.05, seed=2)
     xt, yt = clustered(3, 20, 6, spread=0.05, seed=2)
-    cfg = ProbeConfig(reg_grid=np.logspace(-4, 0, 5), seed=0)
-    rep = linear_probe(x, y, xt, yt, cfg)
+    rep = linear_probe(x, y, xt, yt, ProbeConfig(seed=0))
     assert rep.accuracy == 1.0
     assert rep.count == 60
-    assert rep.details["selected_lambda"] in cfg.reg_grid
-    assert len(rep.details["val_curve"]) == 5
+    assert rep.details["selected_lambda"] in REG_GRID
+    assert len(rep.details["val_curve"]) == 45
+    assert rep.config["reg_grid_size"] == 45
+    assert (rep.config["reg_grid_min"], rep.config["reg_grid_max"]) == (1e-6, 1e5)
     assert rep.ci95 == 0.0
 
 
@@ -292,8 +297,7 @@ def test_probe_shuffled_labels_sit_at_chance():
     y = np.tile(np.arange(5), 50)
     xt = rng.standard_normal((1000, 8))
     yt = np.tile(np.arange(5), 200)
-    cfg = ProbeConfig(reg_grid=np.logspace(-3, 1, 5), seed=0)
-    rep = linear_probe(x, y, xt, yt, cfg)
+    rep = linear_probe(x, y, xt, yt, ProbeConfig(seed=0))
     assert abs(rep.accuracy - 0.2) < 0.04
 
 
@@ -303,8 +307,7 @@ def test_probe_normalization_handles_bad_scaling():
     x, xt = x.copy(), xt.copy()
     x[:, 0] *= 1e6
     xt[:, 0] *= 1e6
-    cfg = ProbeConfig(reg_grid=np.logspace(-4, 0, 5), normalize_features=True)
-    rep = linear_probe(x, y, xt, yt, cfg)
+    rep = linear_probe(x, y, xt, yt, ProbeConfig(normalize_features=True))
     assert rep.accuracy == 1.0
 
 

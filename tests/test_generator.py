@@ -11,9 +11,7 @@ from synthrep.generator import (
     SamplerNumericsError,
     caption_offset,
     caption_to_component,
-    cfg_epsilon,
     class_center,
-    ddim_sample,
     epsilon_cond,
     epsilon_uncond,
     generate_dataset,
@@ -212,35 +210,42 @@ def test_epsilon_uncond_equidistant_cancels_center_pull():
     assert cosine == pytest.approx(1.0, abs=1e-10)
 
 
+def one_step_row(man, row, prompt, cfg, eps_of):
+    """A row of a ddim_steps=1 dataset rebuilt from its latent: the sampler
+    returns x_hat = (z - sigma * eps) / alpha for eps = eps_of(z)."""
+    alpha, sigma = cfg.schedule.alphas[0], cfg.schedule.sigmas[0]
+    z = rng_from(int(man.latent_seeds[row])).standard_normal(cfg.feature_dim)
+    return (z - sigma * eps_of(z)) / alpha
+
+
 def test_cfg_epsilon_arithmetic():
-    cfg = small_cfg(guidance_scale=3.0)
+    cfg = small_cfg(guidance_scale=3.0, ddim_steps=1)
     prompt = PromptSpec(0, 1, 99)
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal(6)
-    e_c = epsilon_cond(z, 10, prompt, cfg)
-    e_u = epsilon_uncond(z, 10, cfg)
-    e_g = cfg_epsilon(z, 10, prompt, cfg)
-    np.testing.assert_allclose(e_g, 3.0 * e_c - 2.0 * e_u, atol=1e-12)
+    man = generate_dataset([prompt], 4, cfg, seed=5)
+    for row in range(4):
+        expected = one_step_row(
+            man, row, prompt, cfg,
+            lambda z: 3.0 * epsilon_cond(z, 0, prompt, cfg) - 2.0 * epsilon_uncond(z, 0, cfg),
+        )
+        np.testing.assert_array_equal(man.features[row], expected)
 
 
 def test_cfg_epsilon_w1_is_conditional():
-    cfg = small_cfg(guidance_scale=1.0)
+    cfg = small_cfg(guidance_scale=1.0, ddim_steps=1)
     prompt = PromptSpec(0, 0, 7)
-    z = np.linspace(-1, 1, 6)
-    np.testing.assert_array_equal(
-        cfg_epsilon(z, 5, prompt, cfg),
-        epsilon_cond(z, 5, prompt, cfg),
-    )
+    man = generate_dataset([prompt], 3, cfg, seed=6)
+    for row in range(3):
+        expected = one_step_row(man, row, prompt, cfg, lambda z: epsilon_cond(z, 0, prompt, cfg))
+        np.testing.assert_array_equal(man.features[row], expected)
 
 
 def test_ddim_sample_deterministic():
     cfg = small_cfg()
-    prompt = PromptSpec(3, 2, 1234)
-    s1 = ddim_sample(prompt, latent_seed=42, cfg=cfg)
-    s2 = ddim_sample(prompt, latent_seed=42, cfg=cfg)
-    np.testing.assert_array_equal(s1.feature, s2.feature)
-    s3 = ddim_sample(prompt, latent_seed=43, cfg=cfg)
-    assert not np.allclose(s1.feature, s3.feature)
+    prompts = [PromptSpec(3, 2, 1234)]
+    a = generate_dataset(prompts, 2, cfg, seed=42)
+    np.testing.assert_array_equal(a.features, generate_dataset(prompts, 2, cfg, seed=42).features)
+    assert not np.allclose(a.features[0], a.features[1])
+    assert not np.allclose(a.features, generate_dataset(prompts, 2, cfg, seed=43).features)
 
 
 def test_ddim_point_mass_limit():
@@ -248,29 +253,25 @@ def test_ddim_point_mass_limit():
     cfg = small_cfg(conditional_std=1e-8, guidance_scale=1.0, ddim_steps=200)
     prompt = PromptSpec(0, 1, 2024)
     mean, _ = caption_to_component(prompt, cfg)
-    out = ddim_sample(prompt, latent_seed=5, cfg=cfg)
-    assert np.linalg.norm(out.feature - mean) < 1e-3
+    out = generate_dataset([prompt], 1, cfg, seed=5)
+    assert np.linalg.norm(out.features[0] - mean) < 1e-3
 
 
 def test_generate_dataset_batched_matches_single():
-    # the batched trajectory must be bit-identical to one-at-a-time sampling
+    # rows are independent: generating a subset of the captions, alone or in
+    # another order, reproduces the full run's rows bit for bit
     cfg = small_cfg(guidance_scale=2.0)
     prompts = [prompt_from_text(i, f"caption number {i}", 3) for i in range(4)]
-    man = generate_dataset(prompts, 3, cfg, seed=11)
-    assert man.features.shape == (12, 6)
-    for row in range(12):
-        prompt = next(p for p in prompts if p.caption_id == man.caption_ids[row])
-        single = ddim_sample(prompt, int(man.latent_seeds[row]), cfg)
-        np.testing.assert_array_equal(man.features[row], single.feature)
-
-    # mixed w, including w=1 rows that skip the unconditional term
-    mixed = generate_dataset(prompts, 5, cfg, seed=12, guidance_scales=[1.0, 2.5, 7.0])
-    assert set(mixed.guidance_scales.tolist()) == {1.0, 2.5, 7.0}
-    for row in range(mixed.num_samples):
-        prompt = next(p for p in prompts if p.caption_id == mixed.caption_ids[row])
-        w = float(mixed.guidance_scales[row])
-        single = ddim_sample(prompt, int(mixed.latent_seeds[row]), cfg, guidance_scale=w)
-        np.testing.assert_array_equal(mixed.features[row], single.feature)
+    subsets = [[p] for p in prompts] + [[prompts[3], prompts[1]]]
+    for kw in ({}, {"guidance_scales": [1.0, 2.5, 7.0]}):  # mixed w includes w=1 rows
+        full = generate_dataset(prompts, 5, cfg, seed=11, **kw)
+        assert full.features.shape == (20, 6)
+        for subset in subsets:
+            part = generate_dataset(subset, 5, cfg, seed=11, **kw)
+            rows = np.concatenate([full.rows_for_caption(p.caption_id) for p in subset])
+            np.testing.assert_array_equal(part.features, full.features[rows])
+            np.testing.assert_array_equal(part.guidance_scales, full.guidance_scales[rows])
+    assert set(full.guidance_scales.tolist()) == {1.0, 2.5, 7.0}
 
 
 # sha256 over features, latent_seeds and guidance_scales of a 6-caption x 4-image
@@ -356,7 +357,7 @@ def test_sampler_numerics_error_carries_step():
     cfg = small_cfg(guidance_scale=1e160)
     prompt = PromptSpec(0, 0, 1)
     with pytest.raises(SamplerNumericsError) as exc:
-        ddim_sample(prompt, latent_seed=1, cfg=cfg)
+        generate_dataset([prompt], 1, cfg, seed=1)
     assert "step" in str(exc.value)
 
 

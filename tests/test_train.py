@@ -238,13 +238,12 @@ def test_two_view_variant_duplicates_first_image():
         loss_variant="simclr_reduction", batch_spec=BatchSpec(4, 2), augment_strength=0.2
     )
     trainer = Trainer(man, cfg)
-    batch, texts = trainer.assemble(0)
+    feats, ids, texts = trainer.assemble(0)
     assert texts is None
-    ids = batch.caption_ids
     np.testing.assert_array_equal(ids[::2], ids[1::2])
     for i in range(0, 8, 2):
         # same source image, different augmentation noise
-        assert not np.array_equal(batch.features[i], batch.features[i + 1])
+        assert not np.array_equal(feats[i], feats[i + 1])
 
 
 def test_text_inputs_are_conditional_means():
@@ -254,8 +253,8 @@ def test_text_inputs_are_conditional_means():
         text_encoder=text_encoder_cfg(),
     )
     trainer = Trainer(man, cfg)
-    batch, texts = trainer.assemble(0)
-    cids = batch.caption_ids[:: cfg.batch_spec.samples_per_caption]
+    _, ids, texts = trainer.assemble(0)
+    cids = ids[:: cfg.batch_spec.samples_per_caption]
     assert texts.shape == (4, 4)
     for row, cid in zip(texts, cids):
         mean, _ = caption_to_component(man.prompt_for(int(cid)), man.config)
