@@ -90,7 +90,7 @@ def _affine_fwd(x, w, b):
 def _affine_bwd(dy, cache):
     x, w = cache
     dx = dy @ w.T
-    dw = np.tensordot(x, dy, axes=(tuple(range(x.ndim - 1)),) * 2)
+    dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     db = dy.sum(axis=tuple(range(dy.ndim - 1)))
     return dx, dw, db
 

@@ -103,9 +103,11 @@ def _logsumexp_rows(z: np.ndarray, axis: int = -1) -> np.ndarray:
         a_max = np.max(z, axis=axis, keepdims=True)
         is_max = z == a_max
         m = np.sum(is_max, axis=axis, keepdims=True, dtype=z.dtype)
-        shifted = z - a_max
-        np.copyto(shifted, -np.inf, where=is_max)
-        s = np.sum(np.exp(shifted), axis=axis, keepdims=True) / m
+        # the maxima are zeroed after exp, not set to -inf before it: exp is
+        # slow on -inf; a non-finite row gives NaN here and falls back below
+        e = np.exp(z - a_max)
+        e *= ~is_max
+        s = np.sum(e, axis=axis, keepdims=True) / m
         out = np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
         bad = ~np.isfinite(out)
         if bad.any():

@@ -20,7 +20,14 @@ from .data import BatchSpec, augment_batch, sample_batch
 from .encoder import Encoder, EncoderConfig
 from .generator import caption_to_component
 from .losses import EmbeddingBatch, multi_positive_loss, pair_contrastive_loss
-from .manifest import DatasetManifest, _read_field, canonical_json, fmt_float, json_digest
+from .manifest import (
+    DatasetManifest,
+    _of_type,
+    _read_field,
+    canonical_json,
+    fmt_float,
+    json_digest,
+)
 from .seeding import SALT_EPOCH, _check_numbers, derive_u64, rng_from
 
 __all__ = [
@@ -197,22 +204,39 @@ def adamw_step(
     betas: tuple,
     weight_decay: float,
     eps: float = 1e-8,
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> None:
     """Bias-corrected adaptive update with decoupled weight decay: advances
-    `ts` in place by one optimizer step."""
+    `ts` in place by one optimizer step.
+
+    Every intermediate is written into `scratch[k]`, two float64 arrays of
+    each parameter's shape; with None the pair is allocated per call. Either
+    way the same ufuncs run in the same order, so the bits are the same.
+    """
     b1, b2 = betas
     ts.step += 1
     bc1 = 1.0 - b1**ts.step
     bc2 = 1.0 - b2**ts.step
     for k in sorted(ts.params):
-        g = grads[k]
-        m, v = ts.m[k], ts.v[k]
+        g, p, m, v = grads[k], ts.params[k], ts.m[k], ts.v[k]
+        t, u = (np.empty(p.shape), np.empty(p.shape)) if scratch is None else scratch[k]
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(1 - b1, g, out=t)
+        m += t
         v *= b2
-        v += (1 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        ts.params[k] -= lr * (update + weight_decay * ts.params[k])
+        np.multiply(1 - b2, g, out=t)
+        t *= g
+        v += t
+        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+        np.divide(m, bc1, out=t)
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        t /= u
+        np.multiply(weight_decay, p, out=u)
+        t += u
+        t *= lr
+        p -= t
 
 
 def sub_params(d: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -262,6 +286,10 @@ class Trainer:
             raise ValueError(f"batches take {m} samples per caption; a caption has {fewest}")
         self._perm_cache: tuple[int, np.ndarray] | None = None
         self._text_cache: dict[int, np.ndarray] = {}
+        # parameter key -> two arrays of its shape for the gradient norm and
+        # AdamW's intermediates; kept across steps, so that a step does not
+        # free and fault back in megabytes of temporaries
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- state ----------------------------------------------------------------
 
@@ -351,7 +379,16 @@ class Trainer:
                 dparams = enc.backward(params[i], tapes[i], grad_projs[i])
                 grads.update((prefix + k, v) for k, v in dparams.items())
 
-            grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+            if not self._scratch:
+                self._scratch = {
+                    k: (np.empty(p.shape), np.empty(p.shape)) for k, p in ts.params.items()
+                }
+            squares = 0.0
+            for k, g in grads.items():
+                t = self._scratch[k][0]
+                np.multiply(g, g, out=t)
+                squares += float(np.sum(t))
+            grad_norm = float(np.sqrt(squares))
             if not np.isfinite(loss) or not np.isfinite(grad_norm):
                 raise TrainingDivergedError(
                     f"non-finite loss ({loss}) or gradient norm ({grad_norm}) at step "
@@ -362,7 +399,7 @@ class Trainer:
                 for g in grads.values():
                     g *= scale
 
-            adamw_step(ts, grads, lr, cfg.betas, cfg.weight_decay)
+            adamw_step(ts, grads, lr, cfg.betas, cfg.weight_decay, scratch=self._scratch)
             return {
                 "step": ts.step,
                 "epoch_equiv": ts.step / self.steps_per_epoch,
@@ -514,6 +551,14 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arrays[k]).tobytes())
 
 
+def _count(value) -> int:
+    """A `_read_field` converter for a JSON integer >= 0."""
+    n = _of_type(int)(value)
+    if n < 0:
+        raise ValueError(f"expected an int >= 0, got {n}")
+    return n
+
+
 def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
     """(config, state, meta) of a checkpoint; the state's arrays are those of
     `_init_state(config)`, each overwritten from the file."""
@@ -534,8 +579,8 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
             raise ValueError(f"{path}: unsupported checkpoint format")
         meta = _read_field(header, "meta", dict, path)
         cfg = _read_field(meta, "train_config", TrainConfig.from_dict, path, "meta")
-        step = _read_field(meta, "step", int, path, "meta")
-        opt_step = _read_field(meta, "opt_step", int, path, "meta")
+        step = _read_field(meta, "step", _count, path, "meta")
+        opt_step = _read_field(meta, "opt_step", _count, path, "meta")
         if opt_step != step:
             raise ValueError(f"{path}: meta opt_step {opt_step} differs from step {step}")
         ts = _init_state(cfg)
@@ -546,7 +591,9 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
             where = f"array spec {i}"
             name = _read_field(spec, "name", str, path, where)
             dtype = _read_field(spec, "dtype", np.dtype, path, where)
-            shape = _read_field(spec, "shape", lambda v: tuple(map(int, v)), path, where)
+            shape = _read_field(
+                spec, "shape", lambda v: tuple(map(_count, _of_type(list)(v))), path, where
+            )
             if name not in targets:
                 raise ValueError(f"{path}: array {name!r} is not in its train_config's layout")
             if name in read:

@@ -343,6 +343,29 @@ def test_train_resume_on_a_finished_checkpoint_is_refused(
     assert not os.path.exists(out + ".partial")
 
 
+def test_train_resume_from_a_negative_step_names_the_file(
+    workdir, generated, trained, capsys, tmp_path
+):
+    root, cfg = workdir
+    raw = open(os.path.join(trained, "checkpoint.bin"), "rb").read()
+    blob_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + blob_len])
+    header["meta"].update(step=-2, opt_step=-2)
+    blob = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + blob_len :])
+    out = str(tmp_path / "resumed")
+    capsys.readouterr()
+    code = main(
+        ["train", "--config", cfg, "--seed", "5", "--data",
+         os.path.join(generated, "manifest.jsonl"), "--resume", str(bad), "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, "train")
+    assert error.startswith(f"{bad}: meta field 'step' is invalid: ")
+    assert not os.path.exists(out)
+
+
 def _probe_edited_checkpoint(cfg, generated, eval_generated, trained, capsys, tmp_path, edit):
     """Probe with a copy of the trained checkpoint whose header edit(header)
     rewrote; return the copy's path and the one JSON error line's message."""

@@ -243,6 +243,7 @@ def _lse_cases():
         "zeros": np.zeros((5, 4)),
         "large_magnitude": np.concatenate([huge, -huge, rng.standard_normal((8, 5)) * 700]),
         "infinite": inf_rows,
+        "nan": np.array([[np.nan, 1.0, -2.0], [0.5, 1.0, -2.0], [np.nan, np.inf, -np.inf]]),
     }
 
 

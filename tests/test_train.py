@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,33 @@ def test_adamw_two_steps_match_hand_computation():
     w2 = w1 - lr * (upd2 + wd * w1)
     np.testing.assert_allclose(params["w"], w2, atol=1e-15)
     assert ts.step == 2
+
+
+def test_adamw_scratch_gives_the_bits_of_fresh_temporaries():
+    rng = np.random.default_rng(4)
+    shapes = {"a.W": (6, 5), "a.b": (5,), "z": (3, 2, 4)}
+
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+
+    def state():
+        return TrainState(
+            params={k: v.copy() for k, v in params.items()},
+            m={k: np.zeros(s) for k, s in shapes.items()},
+            v={k: np.zeros(s) for k, s in shapes.items()},
+            norm_state={},
+        )
+
+    fresh, kept = state(), state()
+    scratch = {k: (np.empty(s), np.empty(s)) for k, s in shapes.items()}
+    for i in range(50):
+        grads = {k: rng.standard_normal(s) * (i + 1) for k, s in shapes.items()}
+        lr = 1e-2 * (1 + np.sin(i))
+        adamw_step(fresh, grads, lr, (0.9, 0.98), 0.1)
+        adamw_step(kept, grads, lr, (0.9, 0.98), 0.1, scratch=scratch)
+    assert kept.step == fresh.step == 50
+    for field in ("params", "m", "v"):
+        for k in shapes:
+            assert getattr(kept, field)[k].tobytes() == getattr(fresh, field)[k].tobytes()
 
 
 # -- config -------------------------------------------------------------------
@@ -579,6 +607,38 @@ def test_checkpoint_opt_step_other_than_step_is_rejected(tmp_path):
     assert str(path) in str(exc.value)
 
 
+def _set_steps(value):
+    def edit(header):
+        header["meta"].update(step=value, opt_step=value)
+
+    return edit
+
+
+def _set_first_shape_entry(header):
+    header["arrays"][0]["shape"][0] += 0.5
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set_steps(2.9), "meta field 'step'"),
+        (_set_steps("3"), "meta field 'step'"),
+        (_set_steps(True), "meta field 'step'"),
+        (_set_steps(-2), "meta field 'step'"),
+        (lambda h: h["meta"].update(opt_step=1.0), "meta field 'opt_step'"),
+        (_set_first_shape_entry, "array spec 0 field 'shape'"),
+    ],
+    ids=["step_float", "step_string", "step_bool", "step_negative", "opt_step_float",
+         "shape_float"],
+)
+def test_checkpoint_mistyped_step_or_shape_is_rejected(tmp_path, edit, field):
+    path, raw, _, _ = _saved_checkpoint(tmp_path)
+    _rewrite_header(path, raw, edit)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(str(path))
+    assert str(exc.value).startswith(f"{path}: {field} is invalid: ")
+
+
 @pytest.mark.parametrize("field", ["batch_spec", "encoder", "text_encoder"])
 def test_checkpoint_train_config_entry_that_is_no_object_is_rejected(tmp_path, field):
     path, raw, _, _ = _saved_checkpoint(tmp_path)
@@ -671,3 +731,22 @@ def test_train_state_after_30_steps_keeps_its_bits(golden_manifest, tmp_path, na
     write_metrics(str(lines), metrics)
     digest = hashlib.sha256(ckpt.read_bytes() + lines.read_bytes()).hexdigest()
     assert digest == _GOLDEN_TRAIN_STATE_SHA256[name]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+@pytest.mark.parametrize("spec", [BatchSpec(20, 2), BatchSpec(20, 6)], ids=["c40", "c120"])
+def test_steady_train_steps_take_almost_no_page_faults(golden_manifest, spec):
+    # a step that frees its large temporaries and allocates them again faults
+    # the pages back in on every step: about a thousand faults per step
+    import resource
+
+    cfg = TrainConfig(seed=11, batch_spec=spec, epochs=75)  # 50 steps or more
+    trainer = Trainer(golden_manifest, cfg)
+    ts = trainer.init_state()
+    for _ in range(10):
+        trainer.train_step(ts)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(40):
+        trainer.train_step(ts)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 40
