@@ -39,9 +39,7 @@ def pretrain(manifest, variant, spec, seed=0):
 
 def frozen_features(manifest, cfg, ts):
     enc = Encoder(cfg.encoder)
-    return encode_dataset(
-        manifest, enc, sub_params(ts.params, "img."), sub_params(ts.norm_state, "img.")
-    )
+    return encode_dataset(manifest, enc, sub_params(ts.params, "img."))
 
 
 def main():

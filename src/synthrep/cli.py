@@ -357,12 +357,12 @@ def _train_config(cfg: dict, feature_dim: int, seed: int) -> TrainConfig:
         raise CliError(f"invalid train config: {exc}") from exc
 
 
-def _encoder_from_checkpoint(path: str):
-    cfg, ts, meta = load_checkpoint(path)
-    enc = Encoder(cfg.encoder)
-    params = sub_params(ts.params, "img.")
-    state = sub_params(ts.norm_state, "img.")
-    return enc, params, state, meta
+def _encoder_from_checkpoint(path: str | None):
+    """(encoder, image-tower params) of a checkpoint, or None without one."""
+    if path is None:
+        return None
+    cfg, ts, _ = load_checkpoint(path)
+    return Encoder(cfg.encoder), sub_params(ts.params, "img.")
 
 
 def _checkpoint_id(path: str | None) -> str:
@@ -374,13 +374,19 @@ def _checkpoint_id(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _features_from(manifest_path: str, checkpoint: str | None):
+def _features_from(manifest_path: str, encoder):
+    """(features, class ids, dataset id) of a manifest: its raw features, or
+    those `encoder` (from `_encoder_from_checkpoint`) gives them."""
     manifest = read_manifest(manifest_path)
-    if checkpoint is None:
+    if encoder is None:
         return manifest.features, manifest.class_ids, manifest.hash()
-    enc, params, state, _ = _encoder_from_checkpoint(checkpoint)
-    feats = encode_dataset(manifest, enc, params, state)
-    return feats, manifest.class_ids, manifest.hash()
+    enc, params = encoder
+    if manifest.config.feature_dim != enc.cfg.input_dim:
+        raise CliError(
+            f"{manifest_path}: feature_dim {manifest.config.feature_dim} does not match "
+            f"the checkpoint encoder's input_dim {enc.cfg.input_dim}"
+        )
+    return encode_dataset(manifest, enc, params), manifest.class_ids, manifest.hash()
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -439,8 +445,9 @@ def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
         _, test_y, test_x = load_features(ns.test_features)
         dataset_id = ""
     else:
-        train_x, train_y, train_hash = _features_from(ns.data, ns.checkpoint)
-        test_x, test_y, _ = _features_from(ns.eval_data, ns.checkpoint)
+        encoder = _encoder_from_checkpoint(ns.checkpoint)
+        train_x, train_y, train_hash = _features_from(ns.data, encoder)
+        test_x, test_y, _ = _features_from(ns.eval_data, encoder)
         dataset_id = train_hash
     report = linear_probe(train_x, train_y, test_x, test_y, _probe_config(cfg, seed))
     report.dataset_id = dataset_id
@@ -486,7 +493,8 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
             _, labels, feats = load_features(ns.features)
             dataset_id = ""
         else:
-            feats, labels, dataset_id = _features_from(ns.data, ns.checkpoint)
+            encoder = _encoder_from_checkpoint(ns.checkpoint)
+            feats, labels, dataset_id = _features_from(ns.data, encoder)
         report = fewshot_eval(feats, labels, spec)
         report.dataset_id = dataset_id
         report.checkpoint_id = _checkpoint_id(ns.checkpoint)
@@ -603,10 +611,9 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             os.makedirs(run_dir, exist_ok=True)
             ts, _ = run_training(manifest, tcfg, out_dir=run_dir)
 
-            enc = Encoder(tcfg.encoder)
-            params = sub_params(ts.params, "img.")
-            state = sub_params(ts.norm_state, "img.")
-            feats = encode_dataset(eval_manifest, enc, params, state)
+            feats = encode_dataset(
+                eval_manifest, Encoder(tcfg.encoder), sub_params(ts.params, "img.")
+            )
             report = linear_probe(
                 feats[eval_train_rows],
                 eval_manifest.class_ids[eval_train_rows],

@@ -4,8 +4,10 @@ An encoder maps a feature vector to (pre_projection, projected): the
 pre-projection output of a configurable backbone (MLP by default, tiny
 transformer optionally) is the probe-facing representation, and a 3-affine
 projection head with normalization and GELU produces the unit-norm embedding
-consumed by the contrastive losses. The same class serves as the text tower,
-encoding caption vectors with its own parameter set.
+consumed by the contrastive losses. `Encoder.features` runs the backbone
+alone, as evaluation needs it; `Encoder.forward` runs it and then the head.
+The same class serves as the text tower, encoding caption vectors with its
+own parameter set.
 
 Forward passes record a cache; `backward` replays it exactly, including the
 Jacobian of the final row normalization, (I - u u^T) / ||v||. Everything is
@@ -269,25 +271,20 @@ class Encoder:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(
-        self,
-        params: dict,
-        x: np.ndarray,
-        state: dict | None = None,
-        training: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, list]:
-        """Batched forward. Returns (pre_projection, projected, cache). In
-        training mode, batch norm folds its statistics into `state` if given."""
+    def features(
+        self, params: dict, x: np.ndarray, tape: list | None = None
+    ) -> np.ndarray:
+        """Backbone output of a (batch, input_dim) input: the pre-projection
+        features. Records its layers on `tape` when one is given; without it,
+        nothing of the pass is kept."""
         cfg = self.cfg
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"expected (batch, {cfg.input_dim}) input, got {x.shape}")
-        if cfg.head_norm == "batch" and not training and state is None:
-            raise ValueError("eval mode with batch normalization requires state")
-        tape: list = []
 
         def push(kind, cache):
-            tape.append((kind, cache))
+            if tape is not None:
+                tape.append((kind, cache))
 
         h = x
         if cfg.backbone == "mlp":
@@ -335,7 +332,26 @@ class Encoder:
             h = h[:, 0, :]
             push(("take_cls", (b, t + 1, cfg.width)), None)
 
-        pre = h
+        return h
+
+    def forward(
+        self,
+        params: dict,
+        x: np.ndarray,
+        state: dict | None = None,
+        training: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, list]:
+        """Batched forward. Returns (pre_projection, projected, cache). In
+        training mode, batch norm folds its statistics into `state` if given."""
+        cfg = self.cfg
+        if cfg.head_norm == "batch" and not training and state is None:
+            raise ValueError("eval mode with batch normalization requires state")
+        tape: list = []
+
+        def push(kind, cache):
+            tape.append((kind, cache))
+
+        pre = h = self.features(params, x, tape)
         for i in range(3):
             h, c = _affine_fwd(h, params[f"head.l{i}.W"], params[f"head.l{i}.b"])
             push(("affine", f"head.l{i}"), c)

@@ -341,9 +341,7 @@ def _probe_frozen(ts, tcfg, seed):
     )
     train_rows, test_rows = stratified_split(man.class_ids, 0.5, derive_u64(seed, 22))
     enc = Encoder(tcfg.encoder)
-    feats = encode_dataset(
-        man, enc, sub_params(ts.params, "img."), sub_params(ts.norm_state, "img.")
-    )
+    feats = encode_dataset(man, enc, sub_params(ts.params, "img."))
     rep = linear_probe(
         feats[train_rows],
         man.class_ids[train_rows],

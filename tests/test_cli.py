@@ -706,6 +706,56 @@ def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
     assert rep2["checkpoint_id"] == _sha256_of(os.path.join(trained, "checkpoint.bin"))
 
 
+def test_probe_loads_the_checkpoint_once(
+    workdir, generated, eval_generated, trained, monkeypatch, tmp_path
+):
+    import synthrep.cli as cli
+
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+    ckpt = os.path.join(trained, "checkpoint.bin")
+    code = main(
+        ["probe", "--config", workdir[1], "--seed", "5",
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--eval-data", os.path.join(eval_generated, "manifest.jsonl"),
+         "--checkpoint", ckpt, "--out", str(tmp_path / "probe")]
+    )
+    assert code == 0
+    assert calls == [ckpt]
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_manifest_of_another_width_than_the_checkpoint_is_json_error(
+    workdir, generated, trained, capsys, tmp_path, command
+):
+    root, cfg = workdir
+    wide = str(tmp_path / "wide")
+    assert main(
+        ["generate", "--config", cfg, "--seed", "7", "--out", wide,
+         "--set", "generator.feature_dim=6"]
+    ) == 0
+    wide_data = os.path.join(wide, "manifest.jsonl")
+    data = ["--data", wide_data]
+    if command == "probe":  # the training manifest fits; the eval one does not
+        data = ["--data", os.path.join(generated, "manifest.jsonl"), "--eval-data", wide_data]
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        [command, "--config", cfg, "--seed", "5", *data,
+         "--checkpoint", os.path.join(trained, "checkpoint.bin"), "--out", out]
+    )
+    assert code == 1
+    error = _single_json_error(capsys, command)
+    assert wide_data in error
+    assert "feature_dim 6" in error and "input_dim 4" in error
+    assert not os.path.exists(out)
+
+
 def test_probe_feature_file_path(workdir, generated, eval_generated, tmp_path):
     root, cfg = workdir
     man = read_manifest(os.path.join(generated, "manifest.jsonl"))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,12 +367,47 @@ def test_encode_dataset_batching_is_transparent():
     cfg = EncoderConfig(input_dim=4, mlp_widths=(8,), head_hidden=8, head_out=4)
     enc = Encoder(cfg)
     params = enc.init_params(0)
-    state = enc.init_state()
     x = np.random.default_rng(9).standard_normal((17, 4))
-    full = encode_dataset(x, enc, params, state, batch_size=512)
-    chunked = encode_dataset(x, enc, params, state, batch_size=3)
+    full = encode_dataset(x, enc, params, batch_size=512)
+    chunked = encode_dataset(x, enc, params, batch_size=3)
     np.testing.assert_allclose(full, chunked, atol=1e-9)
     assert full.shape == (17, 8)
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "transformer"])
+def test_encode_dataset_is_forwards_pre_projection_bitwise(backbone):
+    enc = Encoder(EncoderConfig(input_dim=16, backbone=backbone, patch_size=4))
+    params = enc.init_params(3)
+    x = np.random.default_rng(4).standard_normal((40, 16))
+    pre, _, _ = enc.forward(params, x, state=enc.init_state(), training=False)
+    feats = encode_dataset(x, enc, params)
+    assert feats.shape == pre.shape
+    assert feats.tobytes() == pre.tobytes()
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_dataset_runs_only_the_backbone_within_6_mb():
+    # the whole head in eval mode, with its tape, traced 20.3 MB here
+    enc = Encoder(EncoderConfig())
+    params = enc.init_params(0)
+    x = np.random.default_rng(5).standard_normal((1000, 32))
+    assert _traced_peak_mb(encode_dataset, x, enc, params) < 6.0
+
+
+def test_linear_probe_at_sweep_shape_within_10_mb():
+    # 501 train and 499 test rows of 128-d features in 10 classes, as a sweep
+    # probes them; the 45 penalties in one solve traced 17.8 MB here
+    x, y = clustered(10, 100, 128, spread=6.0, seed=12)
+    peak = _traced_peak_mb(linear_probe, x[:501], y[:501], x[501:], y[501:])
+    assert peak < 10.0
 
 
 def test_feature_io_round_trip(tmp_path):

@@ -1,7 +1,11 @@
-"""The package root exports what the demos and the README example import."""
+"""The package root exports what the demos and the README example import,
+and the README example runs."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import synthrep
@@ -40,3 +44,15 @@ def test_root_exports_nothing_its_callers_do_not_use():
     used = set().union(*(_root_imports(s) for s in _caller_sources().values()))
     assert sorted(set(synthrep.__all__) - used) == ["__version__"]
     assert len(synthrep.__all__) == len(set(synthrep.__all__))
+
+
+def test_readme_example_runs(tmp_path):
+    example = _caller_sources()["README.md python block 0"]
+    src = str(Path(synthrep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", example], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    accuracy, ci95 = map(float, done.stdout.split())
+    assert 0.0 <= accuracy <= 1.0 and ci95 >= 0.0
