@@ -271,9 +271,7 @@ class Encoder:
 
     # -- forward / backward --------------------------------------------------
 
-    def features(
-        self, params: dict, x: np.ndarray, tape: list | None = None
-    ) -> np.ndarray:
+    def features(self, params: dict, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """Backbone output of a (batch, input_dim) input: the pre-projection
         features. Records its layers on `tape` when one is given; without it,
         nothing of the pass is kept."""

@@ -310,7 +310,7 @@ def stratified_split(
 # L-BFGS history grows with its size; at a sweep's probe shape (501 rows of
 # 128-d features, 10 classes) the whole grid at once traced 18 MB and set the
 # process's peak RSS (84 MB, against 72 MB with blocks of 15). 15 traces 7 MB
-# in the same time; 9 traces 5 MB but runs 4% slower and leaves that peak as is
+# in the same time; 9 traces 5 MB but ran about 5% slower and left that peak
 _PENALTY_BLOCK = 15
 
 # episodes fitted together. On 600 five-way 5-shot episodes of 128-d

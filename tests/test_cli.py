@@ -709,15 +709,13 @@ def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
 def test_probe_loads_the_checkpoint_once(
     workdir, generated, eval_generated, trained, monkeypatch, tmp_path
 ):
-    import synthrep.cli as cli
-
     calls = []
 
     def counting_load(path):
         calls.append(path)
         return load_checkpoint(path)
 
-    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+    monkeypatch.setattr("synthrep.cli.load_checkpoint", counting_load)
     ckpt = os.path.join(trained, "checkpoint.bin")
     code = main(
         ["probe", "--config", workdir[1], "--seed", "5",
