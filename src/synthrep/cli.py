@@ -358,20 +358,14 @@ def _train_config(cfg: dict, feature_dim: int, seed: int) -> TrainConfig:
 
 
 def _encoder_from_checkpoint(path: str | None):
-    """(encoder, image-tower params) of a checkpoint, or None without one."""
+    """((encoder, image-tower params), checkpoint id) of a checkpoint, read
+    once; the id is the sha256 of its bytes, so a report names what it
+    scored. (None, "") without one."""
     if path is None:
-        return None
-    cfg, ts, _ = load_checkpoint(path)
-    return Encoder(cfg.encoder), sub_params(ts.params, "img.")
-
-
-def _checkpoint_id(path: str | None) -> str:
-    """sha256 of a checkpoint's bytes, so a report names what it scored;
-    "" when features come without a checkpoint."""
-    if not path:
-        return ""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return None, ""
+    digest = hashlib.sha256()
+    cfg, ts, _ = load_checkpoint(path, digest=digest)
+    return (Encoder(cfg.encoder), sub_params(ts.params, "img.")), digest.hexdigest()
 
 
 def _features_from(manifest_path: str, encoder):
@@ -443,15 +437,15 @@ def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
     if ns.train_features:
         _, train_y, train_x = load_features(ns.train_features)
         _, test_y, test_x = load_features(ns.test_features)
-        dataset_id = ""
+        dataset_id = checkpoint_id = ""
     else:
-        encoder = _encoder_from_checkpoint(ns.checkpoint)
+        encoder, checkpoint_id = _encoder_from_checkpoint(ns.checkpoint)
         train_x, train_y, train_hash = _features_from(ns.data, encoder)
         test_x, test_y, _ = _features_from(ns.eval_data, encoder)
         dataset_id = train_hash
     report = linear_probe(train_x, train_y, test_x, test_y, _probe_config(cfg, seed))
     report.dataset_id = dataset_id
-    report.checkpoint_id = _checkpoint_id(ns.checkpoint)
+    report.checkpoint_id = checkpoint_id
     return report
 
 
@@ -491,13 +485,13 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
     with _Staging(ns.out, ns.force) as staging:
         if ns.features:
             _, labels, feats = load_features(ns.features)
-            dataset_id = ""
+            dataset_id = checkpoint_id = ""
         else:
-            encoder = _encoder_from_checkpoint(ns.checkpoint)
+            encoder, checkpoint_id = _encoder_from_checkpoint(ns.checkpoint)
             feats, labels, dataset_id = _features_from(ns.data, encoder)
         report = fewshot_eval(feats, labels, spec)
         report.dataset_id = dataset_id
-        report.checkpoint_id = _checkpoint_id(ns.checkpoint)
+        report.checkpoint_id = checkpoint_id
         cfg_hash = _write_provenance(staging.path("provenance.json"), "fewshot", cfg, seed)
         payload = report.to_dict()
         payload["config_hash"] = cfg_hash
@@ -609,7 +603,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             tcfg = _train_config(cell, manifest.config.feature_dim, seed)
             run_dir = staging.path(label, "train")
             os.makedirs(run_dir, exist_ok=True)
-            ts, _ = run_training(manifest, tcfg, out_dir=run_dir)
+            digest = hashlib.sha256()
+            ts, _ = run_training(manifest, tcfg, out_dir=run_dir, digest=digest)
 
             feats = encode_dataset(
                 eval_manifest, Encoder(tcfg.encoder), sub_params(ts.params, "img.")
@@ -622,7 +617,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                 _probe_config(cell, seed),
             )
             report.dataset_id = manifest.hash()
-            report.checkpoint_id = _checkpoint_id(os.path.join(run_dir, "checkpoint.bin"))
+            report.checkpoint_id = digest.hexdigest()
             payload = report.to_dict()
             payload["axis"] = ns.axis
             payload["value"] = raw

@@ -97,12 +97,59 @@ def _affine_bwd(dy, cache):
     return dx, dw, db
 
 
-def _erf(x):
-    # imported on the first GELU, so commands that never run an encoder
-    # (generate, report) do not pay for loading scipy.special
-    from scipy.special import erf
+# cephes' erf, the algorithm scipy.special.erf runs: x T(x^2) / U(x^2) for
+# |x| <= 1 and 1 - exp(-x^2) P(|x|) / Q(|x|) above. Coefficients are cephes'
+# (ndtr.c), highest power first. U and Q carry the leading 1 that cephes'
+# p1evl implies, and T a leading 0, so each pair is one stacked Horner loop.
+_ERF_TU = np.array([
+    (0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+     7.00332514112805075473e3, 5.55923013010394962768e4),
+    (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+     2.26290000613890934246e4, 4.92673942608635921086e4),
+])
+_ERF_PQ = np.array([
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
+    (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2),
+])
 
-    return erf(x)
+
+def _horner_pair(x, coefs):
+    """Both polynomials of the (2, k) `coefs` at the 1-d x, as a (2, x.size)
+    array, in the order of operations of cephes' polevl and p1evl: a leading
+    0 or 1 makes the first step c1 or x + c1 exactly, as theirs does."""
+    acc = np.multiply.outer(coefs[:, 0], x)
+    acc += coefs[:, 1:2]
+    for k in range(2, coefs.shape[1]):
+        acc *= x
+        acc += coefs[:, k : k + 1]
+    return acc
+
+
+def _erf(x):
+    """scipy.special.erf in numpy: its bits for |x| <= 1, and within 1 ulp
+    above, where numpy's exp and libm's differ by an ulp on a few inputs."""
+    flat = x.reshape(-1)
+    # the |x| <= 1 branch runs on every entry, clipped, so nothing overflows
+    c = np.clip(flat, -1.0, 1.0)
+    tu = _horner_pair(c * c, _ERF_TU)
+    out = c * tu[0]
+    out /= tu[1]
+    ax = np.abs(flat)
+    big = np.flatnonzero(ax > 1.0)  # NaN compares False and stays NaN
+    if big.size:
+        # erfc(6) < 2**-54, so erf is exactly +-1 from about 5.9 on; the cap
+        # keeps inf and huge inputs out of exp
+        a = np.minimum(ax[big], 6.0)
+        pq = _horner_pair(a, _ERF_PQ)
+        y = np.exp(-a * a)
+        y *= pq[0]
+        y /= pq[1]
+        out[big] = np.copysign(1.0 - y, flat[big])
+    return out.reshape(x.shape)
 
 
 def _gelu_fwd(x):

@@ -424,12 +424,14 @@ def run_training(
     out_dir: str | None = None,
     checkpoint_every: int = 0,
     resume_from: str | None = None,
+    digest=None,
 ) -> tuple[TrainState, list[dict]]:
     """Train to completion; optionally write metrics and checkpoints.
 
     Artifacts under out_dir: metrics.jsonl (one record per step) and
     checkpoint.bin (final state), plus checkpoint_NNNNNN.bin every
-    `checkpoint_every` steps when requested.
+    `checkpoint_every` steps when requested. A hashlib `digest`, when given,
+    is fed the bytes of checkpoint.bin as they are written.
     """
     import os
 
@@ -476,7 +478,7 @@ def run_training(
             metrics,
             header={"kind": "synthrep-metrics", **ckpt_meta},
         )
-        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), cfg, ts, ckpt_meta)
+        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), cfg, ts, ckpt_meta, digest)
     return ts, metrics
 
 
@@ -521,8 +523,10 @@ def _checkpoint_arrays(ts: TrainState) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(
-    path: str, cfg: TrainConfig, ts: TrainState, extra_meta: dict | None = None
+    path: str, cfg: TrainConfig, ts: TrainState, extra_meta: dict | None = None, digest=None
 ) -> None:
+    """Write `ts` to path; a hashlib `digest`, when given, is fed every byte
+    written, so the file's hash costs no second read."""
     arrays = _checkpoint_arrays(ts)
     names = sorted(arrays)
     header = {
@@ -544,11 +548,17 @@ def save_checkpoint(
     }
     blob = canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.uint64(len(blob)).tobytes())
-        fh.write(blob)
+
+        def write(buf: bytes) -> None:
+            fh.write(buf)
+            if digest is not None:
+                digest.update(buf)
+
+        write(_MAGIC)
+        write(np.uint64(len(blob)).tobytes())
+        write(blob)
         for k in names:
-            fh.write(np.ascontiguousarray(arrays[k]).tobytes())
+            write(np.ascontiguousarray(arrays[k]).tobytes())
 
 
 def _count(value) -> int:
@@ -559,16 +569,25 @@ def _count(value) -> int:
     return n
 
 
-def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
+def load_checkpoint(path: str, digest=None) -> tuple[TrainConfig, TrainState, dict]:
     """(config, state, meta) of a checkpoint; the state's arrays are those of
-    `_init_state(config)`, each overwritten from the file."""
+    `_init_state(config)`, each overwritten from the file. A hashlib `digest`,
+    when given, is fed every byte read: of a checkpoint that loads, that is
+    the whole file."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
+
+        def take(n: int) -> bytes:
+            buf = fh.read(n)
+            if digest is not None:
+                digest.update(buf)
+            return buf
+
+        magic = take(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        raw_len = fh.read(8)
+        raw_len = take(8)
         blob_len = int.from_bytes(raw_len, "little")
-        blob = fh.read(blob_len)
+        blob = take(blob_len)
         if len(raw_len) != 8 or len(blob) != blob_len:
             raise ValueError(f"{path}: truncated checkpoint header")
         try:
@@ -606,14 +625,14 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, TrainState, dict]:
                 )
             if dtype != np.float64:
                 raise ValueError(f"{path}: array {name!r} has dtype {dtype.str}, not float64")
-            buf = fh.read(target.nbytes)
+            buf = take(target.nbytes)
             if len(buf) != target.nbytes:
                 raise ValueError(
                     f"{path}: array {name!r} is truncated ({len(buf)} of {target.nbytes} bytes)"
                 )
             target[...] = np.frombuffer(buf, dtype=dtype).reshape(shape)
             read.add(name)
-        if fh.read(1):
+        if take(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     missing = sorted(targets.keys() - read)
     if missing:

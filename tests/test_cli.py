@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -568,28 +569,36 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_probe_and_fewshot_load_no_scipy_optimize(workdir, generated, eval_generated, tmp_path):
-    # the batched numpy solver replaced scipy.optimize.minimize
+    # the batched numpy solver replaced scipy.optimize.minimize, and the
+    # GELU's numpy erf replaced scipy.special's: train and the encoder
+    # forwards of probe and fewshot load neither
     root, cfg = workdir
     script = (
         "import sys\n"
         "from synthrep.cli import main\n"
         "cfg, data, evl = sys.argv[1:]\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules))\n"
+        "assert main(['train', '--config', cfg, '--seed', '5', '--data', data,\n"
+        "             '--out', 'train']) == 0\n"
+        "loaded()\n"
         "assert main(['probe', '--config', cfg, '--seed', '5', '--data', data,\n"
-        "             '--eval-data', evl, '--out', 'probe']) == 0\n"
+        "             '--eval-data', evl, '--checkpoint', 'train/checkpoint.bin',\n"
+        "             '--out', 'probe']) == 0\n"
         "assert main(['fewshot', '--config', cfg, '--seed', '5', '--data', data,\n"
-        "             '--out', 'fewshot']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "             '--checkpoint', 'train/checkpoint.bin', '--out', 'fewshot']) == 0\n"
+        "loaded()\n"
     )
     data = os.path.join(generated, "manifest.jsonl")
     evl = os.path.join(eval_generated, "manifest.jsonl")
     out = _fresh_stdout("-c", script, cfg, data, evl, cwd=tmp_path)
-    assert out.splitlines()[-1] == "False"
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]", "[]"]
     assert (tmp_path / "probe" / "report.json").exists()
     assert (tmp_path / "fewshot" / "report.json").exists()
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special (erf, for the GELU) loads at the first encoder forward
+    # no command loads scipy.special: the GELU's erf is numpy
     probe = "import sys, synthrep.cli; print('scipy.special' in sys.modules)"
     assert _fresh_stdout("-c", probe).strip() == "False"
 
@@ -709,14 +718,23 @@ def test_probe_raw_and_checkpoint(workdir, generated, eval_generated, trained):
 def test_probe_loads_the_checkpoint_once(
     workdir, generated, eval_generated, trained, monkeypatch, tmp_path
 ):
-    calls = []
-
-    def counting_load(path):
-        calls.append(path)
-        return load_checkpoint(path)
-
-    monkeypatch.setattr("synthrep.cli.load_checkpoint", counting_load)
+    # one load and one open: the report's checkpoint_id is hashed from the
+    # bytes the load reads
+    calls, opens = [], []
     ckpt = os.path.join(trained, "checkpoint.bin")
+
+    def counting_load(path, **kwargs):
+        calls.append(path)
+        return load_checkpoint(path, **kwargs)
+
+    def counting_open(file, *args, **kwargs):
+        if file == ckpt:
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    monkeypatch.setattr("synthrep.cli.load_checkpoint", counting_load)
+    monkeypatch.setattr(builtins, "open", counting_open)
     code = main(
         ["probe", "--config", workdir[1], "--seed", "5",
          "--data", os.path.join(generated, "manifest.jsonl"),
@@ -725,6 +743,9 @@ def test_probe_loads_the_checkpoint_once(
     )
     assert code == 0
     assert calls == [ckpt]
+    assert opens == [ckpt]
+    rep = json.load(open(str(tmp_path / "probe" / "report.json")))
+    assert rep["checkpoint_id"] == _sha256_of(ckpt)
 
 
 @pytest.mark.parametrize("command", ["probe", "fewshot"])

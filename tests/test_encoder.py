@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from synthrep.encoder import Encoder, EncoderConfig
+from synthrep.encoder import Encoder, EncoderConfig, _erf
 
 
 def small_mlp_cfg():
@@ -221,3 +224,31 @@ def test_config_dict_round_trip():
     back = EncoderConfig.from_dict(cfg2.to_dict())
     assert back == cfg2
     assert isinstance(back.mlp_widths, tuple)
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.7, 2.0, 5.0, 1e3])
+def test_erf_matches_scipy(scale):
+    # scipy's own algorithm: its bits where |x| <= 1; above, numpy's exp can
+    # be an ulp off libm's, which moves erf by at most one ulp
+    x = np.random.default_rng(int(scale * 10)).standard_normal((300, 70)) * scale
+    got, want = _erf(x), erf(x)
+    assert got.shape == want.shape
+    small = np.abs(x) <= 1.0
+    assert got[small].tobytes() == want[small].tobytes()
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= 1
+
+
+def test_erf_edge_values():
+    x = np.array([0.0, -0.0, 1.0, -1.0, 6.0, -6.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    with warnings.catch_warnings():
+        # encode_dataset runs outside train_step's errstate, so huge inputs
+        # must raise no RuntimeWarning under the default one
+        warnings.simplefilter("error")
+        got = _erf(x)
+    assert got.tobytes() == erf(x).tobytes()
+    assert np.array_equal(np.signbit(got[:2]), [False, True])
+    assert np.array_equal(got[2:4], erf(np.array([1.0, -1.0])))
+    assert np.array_equal(got[4:8], [1.0, -1.0, 1.0, -1.0])
+    assert np.isnan(got[8])
+    assert np.array_equal(got[9:], [1.0, -1.0])
