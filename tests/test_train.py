@@ -673,15 +673,17 @@ def test_write_metrics_round_trips_exact_floats(tmp_path):
 # sha256 over save_checkpoint bytes then write_metrics bytes after 30 steps
 # on a 40-caption x 6 manifest. They pin params, Adam moments, norm state and
 # every metrics line, so a refactor of the step or the checkpoint format
-# that changes a single output bit fails here.
+# that changes a single output bit fails here. Last moved by the GELU's numpy
+# erf: above |x| = 1 it uses numpy's exp, which is an ulp off libm's (the exp
+# scipy.special.erf calls) on a few inputs, so some cdf values moved by an ulp.
 
 _GOLDEN_TRAIN_STATE_SHA256 = {
-    "multi_positive_c120": "0f6db35606ab358633d4e4d30b88ad337c62f85af406b4b87aa7c5d5845c2e5e",
-    "simclr_reduction_c40": "8c8f90839f43521881ec244ba8041b97bab251a771a54eaba94763739d3b5538",
-    "multi_positive_text": "d78db0aa922e063120130d2f139f7f81cf75c89de0014f8a9c7d31717f8e1ced",
-    "pair_only": "301fee72def6ae319637fe55d3d2e1e0db8c76e960cca2c1ae5d1f64f8eab69a",
-    "transformer": "8e5fec2760f26d1830b4f55c93231398e4b91e35ba97df0849ed4fb861bff33f",
-    "grad_clip_per_sample": "84d485476a8c2a81ecbf06a776bbf928ee8676dfa6d3ffad3d7e50f38b8ce3f8",
+    "multi_positive_c120": "af1890e58b3b372707ac9b3e6b248ef421d7edeca9295c38a2434eb68a1efa35",
+    "simclr_reduction_c40": "a23aaf71f80968f4a6b88d90c10b5c3431cc113d9b55bfaa78e76bfbc72f1d6a",
+    "multi_positive_text": "cbaa2285fce21579e42670d6a40ececb5fec7cbed1174861b8f99fda1f67d199",
+    "pair_only": "e46acdbf3d4e8a22e4fa1adade3df655d71dc84c3fc70a697460d4f93b24abd8",
+    "transformer": "f7e7232dbddcaadcc2ed1c19105b346471042d26a3337280008d38ec2d4a00b6",
+    "grad_clip_per_sample": "68d8813d17fdb33a86fc0a00dbb97a413f2fbc03a86d6282ad2a1c75eb50638f",
 }
 
 _GOLDEN_CONFIGS = {
