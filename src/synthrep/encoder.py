@@ -97,7 +97,7 @@ def _affine_bwd(dy, cache):
     return dx, dw, db
 
 
-# cephes' erf, the algorithm scipy.special.erf runs: x T(x^2) / U(x^2) for
+# cephes' erf, the algorithm of scipy's erf ufunc: x T(x^2) / U(x^2) for
 # |x| <= 1 and 1 - exp(-x^2) P(|x|) / Q(|x|) above. Coefficients are cephes'
 # (ndtr.c), highest power first. U and Q carry the leading 1 that cephes'
 # p1evl implies, and T a leading 0, so each pair is one stacked Horner loop.
@@ -130,7 +130,7 @@ def _horner_pair(x, coefs):
 
 
 def _erf(x):
-    """scipy.special.erf in numpy: its bits for |x| <= 1, and within 1 ulp
+    """scipy's erf in numpy: its bits for |x| <= 1, and within 1 ulp
     above, where numpy's exp and libm's differ by an ulp on a few inputs."""
     flat = x.reshape(-1)
     # the |x| <= 1 branch runs on every entry, clipped, so nothing overflows
@@ -142,7 +142,7 @@ def _erf(x):
     big = np.flatnonzero(ax > 1.0)  # NaN compares False and stays NaN
     if big.size:
         # erfc(6) < 2**-54, so erf is exactly +-1 from about 5.9 on; the cap
-        # keeps inf and huge inputs out of exp
+        # keeps inf (inf / inf) and huge inputs out of the polynomials
         a = np.minimum(ax[big], 6.0)
         pq = _horner_pair(a, _ERF_PQ)
         y = np.exp(-a * a)
