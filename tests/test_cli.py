@@ -722,6 +722,7 @@ def test_probe_loads_the_checkpoint_once(
     # bytes the load reads
     calls, opens = [], []
     ckpt = os.path.join(trained, "checkpoint.bin")
+    real_open = builtins.open
 
     def counting_load(path, **kwargs):
         calls.append(path)
@@ -732,7 +733,6 @@ def test_probe_loads_the_checkpoint_once(
             opens.append(file)
         return real_open(file, *args, **kwargs)
 
-    real_open = builtins.open
     monkeypatch.setattr("synthrep.cli.load_checkpoint", counting_load)
     monkeypatch.setattr(builtins, "open", counting_open)
     code = main(

@@ -248,7 +248,6 @@ def test_erf_edge_values():
         got = _erf(x)
     assert got.tobytes() == erf(x).tobytes()
     assert np.array_equal(np.signbit(got[:2]), [False, True])
-    assert np.array_equal(got[2:4], erf(np.array([1.0, -1.0])))
     assert np.array_equal(got[4:8], [1.0, -1.0, 1.0, -1.0])
     assert np.isnan(got[8])
     assert np.array_equal(got[9:], [1.0, -1.0])
