@@ -449,6 +449,17 @@ def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
     return report
 
 
+def _write_report(
+    staging: _Staging, command: str, cfg: dict, seed: int, report: EvalReport
+) -> None:
+    """provenance.json, then report.json with the config hash, then report.csv."""
+    cfg_hash = _write_provenance(staging.path("provenance.json"), command, cfg, seed)
+    payload = report.to_dict()
+    payload["config_hash"] = cfg_hash
+    _write_json(staging.path("report.json"), payload)
+    emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
+
+
 def _cmd_probe(ns: argparse.Namespace) -> int:
     cfg = _resolve_config(ns)
     seed = _resolve_seed(ns, cfg)
@@ -456,13 +467,11 @@ def _cmd_probe(ns: argparse.Namespace) -> int:
         raise CliError("--train-features and --test-features must be given together")
     if not ns.train_features and not (ns.data and ns.eval_data):
         raise CliError("probe needs --data and --eval-data manifests, or feature files")
+    if ns.train_features and ns.checkpoint:
+        raise CliError("--checkpoint encodes manifests; feature files are already encoded")
     with _Staging(ns.out, ns.force) as staging:
         report = _probe_report(ns, cfg, seed)
-        cfg_hash = _write_provenance(staging.path("provenance.json"), "probe", cfg, seed)
-        payload = report.to_dict()
-        payload["config_hash"] = cfg_hash
-        _write_json(staging.path("report.json"), payload)
-        emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
+        _write_report(staging, "probe", cfg, seed, report)
     print(
         f"linear probe accuracy {report.accuracy:.4f} +- {report.ci95:.4f} "
         f"(lambda {report.details['selected_lambda']:.3g}), report in {staging.final}"
@@ -482,6 +491,8 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
         reg_lambda=float(fs["reg_lambda"]),
         seed=derive_u64(seed, 31),
     )
+    if ns.features and ns.checkpoint:
+        raise CliError("--checkpoint encodes manifests; feature files are already encoded")
     with _Staging(ns.out, ns.force) as staging:
         if ns.features:
             _, labels, feats = load_features(ns.features)
@@ -492,11 +503,7 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
         report = fewshot_eval(feats, labels, spec)
         report.dataset_id = dataset_id
         report.checkpoint_id = checkpoint_id
-        cfg_hash = _write_provenance(staging.path("provenance.json"), "fewshot", cfg, seed)
-        payload = report.to_dict()
-        payload["config_hash"] = cfg_hash
-        _write_json(staging.path("report.json"), payload)
-        emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
+        _write_report(staging, "fewshot", cfg, seed, report)
     print(
         f"{spec.ways}-way {spec.shots}-shot accuracy {report.accuracy:.4f} "
         f"+- {report.ci95:.4f} over {spec.episodes} episodes, report in {staging.final}"

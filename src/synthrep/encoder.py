@@ -4,8 +4,11 @@ An encoder maps a feature vector to (pre_projection, projected): the
 pre-projection output of a configurable backbone (MLP by default, tiny
 transformer optionally) is the probe-facing representation, and a 3-affine
 projection head with normalization and GELU produces the unit-norm embedding
-consumed by the contrastive losses. `Encoder.features` runs the backbone
-alone, as evaluation needs it; `Encoder.forward` runs it and then the head.
+consumed by the contrastive losses. The head serves only those losses, so it
+has one mode: each norm uses the mean and variance of the batch at hand (or
+of each sample), and no running statistics are kept. `Encoder.features` runs
+the backbone alone, as evaluation needs it; `Encoder.forward` runs it and
+then the head.
 The same class serves as the text tower, encoding caption vectors with its
 own parameter set.
 
@@ -41,7 +44,6 @@ class EncoderConfig:
     head_hidden: int = 256
     head_out: int = 64
     head_norm: str = "batch"  # "batch" or "per_sample"
-    norm_momentum: float = 0.9
 
     def __post_init__(self) -> None:
         self.mlp_widths = tuple(self.mlp_widths)
@@ -66,8 +68,6 @@ class EncoderConfig:
             raise ValueError("head_out must be >= 2")
         if self.head_norm not in ("batch", "per_sample"):
             raise ValueError(f"unknown head_norm {self.head_norm!r}")
-        if not 0.0 <= self.norm_momentum < 1.0:
-            raise ValueError("norm_momentum must be in [0, 1)")
 
     @property
     def backbone_dim(self) -> int:
@@ -165,14 +165,11 @@ def _gelu_bwd(dy, cache):
     return dy * (cdf + x * pdf)
 
 
-def _norm_fwd(x, gamma, beta, axis, stats=None):
+def _norm_fwd(x, gamma, beta, axis):
     """Normalize x over `axis` (0: batch norm, -1: layer norm) by its own
-    mean and variance, or by `stats` = (mean, var) when given, then scale
-    and shift."""
-    if stats is None:
-        stats = x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
-    mean, var = stats
-    inv = 1.0 / np.sqrt(var + _EPS)
+    mean and variance, then scale and shift."""
+    mean = x.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + _EPS)
     xhat = (x - mean) * inv
     return gamma * xhat + beta, (xhat, inv, gamma, axis)
 
@@ -260,7 +257,7 @@ class Encoder:
         cfg.validate()
         self.cfg = cfg
 
-    # -- parameter and state construction -----------------------------------
+    # -- parameter construction ---------------------------------------------
 
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
         cfg = self.cfg
@@ -305,16 +302,6 @@ class Encoder:
             p[f"head.n{i}.g"] = np.ones(cfg.head_hidden)
             p[f"head.n{i}.b"] = np.zeros(cfg.head_hidden)
         return p
-
-    def init_state(self) -> dict[str, np.ndarray]:
-        """Running normalization statistics (used only by head_norm='batch')."""
-        if self.cfg.head_norm != "batch":
-            return {}
-        state = {}
-        for i in range(2):
-            state[f"head.n{i}.mean"] = np.zeros(self.cfg.head_hidden)
-            state[f"head.n{i}.var"] = np.ones(self.cfg.head_hidden)
-        return state
 
     # -- forward / backward --------------------------------------------------
 
@@ -379,62 +366,30 @@ class Encoder:
 
         return h
 
-    def forward(
-        self,
-        params: dict,
-        x: np.ndarray,
-        state: dict | None = None,
-        training: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, list]:
-        """Batched forward. Returns (pre_projection, projected, cache). In
-        training mode, batch norm folds its statistics into `state` if given."""
-        cfg = self.cfg
-        if cfg.head_norm == "batch" and not training and state is None:
-            raise ValueError("eval mode with batch normalization requires state")
+    def forward(self, params: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Batched forward. Returns (pre_projection, projected, tape). Each head
+        norm normalizes by the statistics of this batch (head_norm='batch') or
+        of each sample (head_norm='per_sample')."""
         tape: list = []
-
-        def push(kind, cache):
-            tape.append((kind, cache))
-
+        axis = 0 if self.cfg.head_norm == "batch" else -1
         pre = h = self.features(params, x, tape)
         for i in range(3):
             h, c = _affine_fwd(h, params[f"head.l{i}.W"], params[f"head.l{i}.b"])
-            push(("affine", f"head.l{i}"), c)
+            tape.append((("affine", f"head.l{i}"), c))
             if i < 2:
-                g, bta = params[f"head.n{i}.g"], params[f"head.n{i}.b"]
-                if cfg.head_norm == "per_sample":
-                    h, c = _norm_fwd(h, g, bta, -1)
-                    push(("norm", f"head.n{i}"), c)
-                elif training:
-                    mean = h.mean(axis=0)
-                    var = h.var(axis=0)
-                    if state is not None:
-                        # in-place so callers holding views see the update
-                        mom = cfg.norm_momentum
-                        rmean = state[f"head.n{i}.mean"]
-                        rvar = state[f"head.n{i}.var"]
-                        rmean *= mom
-                        rmean += (1 - mom) * mean
-                        rvar *= mom
-                        rvar += (1 - mom) * var
-                    h, c = _norm_fwd(h, g, bta, 0, (mean, var))
-                    push(("norm", f"head.n{i}"), c)
-                else:
-                    stats = state[f"head.n{i}.mean"], state[f"head.n{i}.var"]
-                    h, c = _norm_fwd(h, g, bta, 0, stats)
-                    # running statistics are constants: backward refuses this entry
-                    push(("batchnorm_eval", f"head.n{i}"), c)
+                h, c = _norm_fwd(h, params[f"head.n{i}.g"], params[f"head.n{i}.b"], axis)
+                tape.append((("norm", f"head.n{i}"), c))
                 h, c = _gelu_fwd(h)
-                push(("gelu", None), c)
+                tape.append((("gelu", None), c))
         proj, c = _l2norm_fwd(h)
-        push(("l2norm", None), c)
+        tape.append((("l2norm", None), c))
         return pre, proj, tape
 
     def backward(
         self, params: dict, tape: list, grad_projected: np.ndarray
     ) -> dict[str, np.ndarray]:
         """Exact gradients of all parameters given d(loss)/d(projected), from
-        the tape of a training-mode forward; each is written once."""
+        the tape of `forward`; each is written once."""
         grads: dict[str, np.ndarray] = {}
         dy = np.asarray(grad_projected, dtype=float)
         skip: list[np.ndarray] = []

@@ -171,7 +171,6 @@ class TrainState:
     params: dict[str, np.ndarray]  # keys prefixed "img." / "txt."
     m: dict[str, np.ndarray]  # AdamW first moments, keyed like params
     v: dict[str, np.ndarray]  # AdamW second moments, keyed like params
-    norm_state: dict[str, np.ndarray]
     step: int = 0  # optimizer steps taken
 
 
@@ -184,16 +183,14 @@ def _towers(cfg: TrainConfig) -> list[tuple[str, Encoder]]:
 def _init_state(cfg: TrainConfig) -> TrainState:
     """Step-0 state: the image tower from seed index 0 and, in the text
     variants, the text tower from index 1; both moments zero."""
-    params, norm_state = {}, {}
+    params = {}
     for index, (prefix, enc) in enumerate(_towers(cfg)):
         seed = derive_u64(cfg.seed, index)
         params.update((prefix + k, v) for k, v in enc.init_params(seed).items())
-        norm_state.update((prefix + k, v) for k, v in enc.init_state().items())
     return TrainState(
         params=params,
         m={k: np.zeros_like(v) for k, v in params.items()},
         v={k: np.zeros_like(v) for k, v in params.items()},
-        norm_state=norm_state,
     )
 
 
@@ -345,8 +342,7 @@ class Trainer:
             params, tapes, projs = [], [], []
             for (prefix, enc), x in zip(self.towers, (feats, texts)):
                 params.append(sub_params(ts.params, prefix))
-                state = sub_params(ts.norm_state, prefix)
-                _, proj, tape = enc.forward(params[-1], x, state=state, training=True)
+                _, proj, tape = enc.forward(params[-1], x)
                 if not np.all(np.isfinite(proj)):
                     tower = "image" if prefix == "img." else "text"
                     raise TrainingDivergedError(
@@ -507,10 +503,10 @@ def write_metrics(path: str, metrics: list[dict], header: dict | None = None) ->
 # timestamps, so identical states serialize to identical bytes.
 
 _MAGIC = b"SRENCKPT"
-_CKPT_FORMAT = 1
+_CKPT_FORMAT = 2
 
 # array-name prefix -> the TrainState field whose arrays it holds
-_CKPT_FIELDS = {"params/": "params", "opt_m/": "m", "opt_v/": "v", "norm/": "norm_state"}
+_CKPT_FIELDS = {"params/": "params", "opt_m/": "m", "opt_v/": "v"}
 
 
 def _checkpoint_arrays(ts: TrainState) -> dict[str, np.ndarray]:

@@ -142,10 +142,10 @@ def test_02_gradient_correctness():
         tau = 0.6
 
         def loss_of(p):
-            _, proj, _ = enc.forward(p, x, training=True)
+            _, proj, _ = enc.forward(p, x)
             return multi_positive_loss(EmbeddingBatch(proj, ids), tau).loss
 
-        _, proj, tape = enc.forward(params, x, training=True)
+        _, proj, tape = enc.forward(params, x)
         out = multi_positive_loss(EmbeddingBatch(proj, ids), tau)
         grads = enc.backward(params, tape, out.grad_embeddings)
 

@@ -410,6 +410,16 @@ def test_probe_checkpoint_with_non_object_encoder_is_json_error(
     assert bad in error and "meta field 'train_config' is invalid" in error
 
 
+def test_probe_checkpoint_of_another_format_is_json_error(
+    workdir, generated, eval_generated, trained, capsys, tmp_path
+):
+    bad, error = _probe_edited_checkpoint(
+        workdir[1], generated, eval_generated, trained, capsys, tmp_path,
+        lambda header: header.update(format=1),
+    )
+    assert bad in error and "unsupported checkpoint format" in error
+
+
 def test_probe_checkpoint_without_an_array_is_json_error(
     workdir, generated, eval_generated, trained, capsys, tmp_path
 ):
@@ -528,6 +538,7 @@ def _inputs(command, generated, eval_generated):
         ("train", "train.tau=null", "'train.tau' is invalid"),
         ("train", "train.encoder.head_out=2.5", "head_out must be an integer"),
         ("train", "train.encoder.mlp_widths=[8.5]", "mlp_widths must be integers"),
+        ("train", "train.encoder.norm_momentum=0.5", "unexpected keyword argument 'norm_momentum'"),
         ("train", "train.batch_spec.num_captions=4.0", "'train.batch_spec.num_captions'"),
     ],
 )
@@ -793,6 +804,30 @@ def test_probe_feature_file_path(workdir, generated, eval_generated, tmp_path):
 
     assert main(["probe", "--config", cfg, "--train-features", tr, "--out", out]) == 1
     assert main(["probe", "--config", cfg, "--out", out]) == 1
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_checkpoint_with_feature_files_is_json_error(
+    workdir, generated, trained, capsys, tmp_path, command
+):
+    # feature files are already encoded: a checkpoint would go unread
+    root, cfg = workdir
+    man = read_manifest(os.path.join(generated, "manifest.jsonl"))
+    feats = str(tmp_path / "features.jsonl")
+    save_features(feats, np.arange(man.num_samples), man.class_ids, man.features)
+    inputs = {
+        "probe": ["--train-features", feats, "--test-features", feats],
+        "fewshot": ["--features", feats],
+    }[command]
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        [command, "--config", cfg, *inputs,
+         "--checkpoint", os.path.join(trained, "checkpoint.bin"), "--out", out]
+    )
+    assert code == 1
+    assert "--checkpoint" in _single_json_error(capsys, command)
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ def small_transformer_cfg():
 
 
 def proj_loss(enc, params, x, w):
-    _, proj, _ = enc.forward(params, x, training=True)
+    _, proj, _ = enc.forward(params, x)
     return float(np.sum(proj * w))
 
 
@@ -38,7 +38,7 @@ def check_param_grads_fd(cfg, seed, entries_per_array=3, h=1e-5):
     x = rng.standard_normal((5, cfg.input_dim))
     w = rng.standard_normal((5, cfg.head_out))
 
-    _, proj, tape = enc.forward(params, x, training=True)
+    _, proj, tape = enc.forward(params, x)
     grads = enc.backward(params, tape, w)
     assert list(grads) == list(params)  # in params order, for either backbone
 
@@ -73,7 +73,7 @@ def test_projected_rows_are_unit_norm():
         enc = Encoder(cfg)
         params = enc.init_params(2)
         x = np.random.default_rng(3).standard_normal((7, cfg.input_dim))
-        _, proj, _ = enc.forward(params, x, training=True)
+        _, proj, _ = enc.forward(params, x)
         np.testing.assert_allclose(np.linalg.norm(proj, axis=1), 1.0, atol=1e-12)
 
 
@@ -91,78 +91,19 @@ def test_forward_deterministic():
     enc = Encoder(small_mlp_cfg())
     params = enc.init_params(4)
     x = np.random.default_rng(5).standard_normal((6, 6))
-    _, p1, _ = enc.forward(params, x, training=True)
-    _, p2, _ = enc.forward(params, x, training=True)
+    _, p1, _ = enc.forward(params, x)
+    _, p2, _ = enc.forward(params, x)
     np.testing.assert_array_equal(p1, p2)
-
-
-def test_running_stats_momentum_update():
-    cfg = EncoderConfig(input_dim=4, mlp_widths=(5,), head_hidden=6, head_out=3)
-    enc = Encoder(cfg)
-    params = enc.init_params(6)
-    state = enc.init_state()
-    held = state["head.n0.mean"]
-    x = np.random.default_rng(7).standard_normal((9, 4))
-
-    # replicate the first norm layer's input: backbone affine then head.l0
-    pre = x @ params["backbone.l0.W"] + params["backbone.l0.b"]
-    h0 = pre @ params["head.l0.W"] + params["head.l0.b"]
-
-    enc.forward(params, x, state=state, training=True)
-    np.testing.assert_allclose(
-        state["head.n0.mean"], 0.1 * h0.mean(axis=0), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        state["head.n0.var"], 0.9 + 0.1 * h0.var(axis=0), atol=1e-12
-    )
-    # update happens in place: callers holding the array see it
-    assert held is state["head.n0.mean"]
-
-
-def test_eval_with_exact_batch_stats_matches_training_forward():
-    cfg = EncoderConfig(
-        input_dim=6, mlp_widths=(8,), head_hidden=8, head_out=4, norm_momentum=0.0
-    )
-    enc = Encoder(cfg)
-    params = enc.init_params(8)
-    state = enc.init_state()
-    x = np.random.default_rng(9).standard_normal((10, 6))
-    _, train_proj, _ = enc.forward(params, x, state=state, training=True)
-    _, eval_proj, _ = enc.forward(params, x, state=state, training=False)
-    np.testing.assert_array_equal(train_proj, eval_proj)
-
-
-def test_eval_requires_state_for_batch_norm():
-    enc = Encoder(small_mlp_cfg())
-    params = enc.init_params(10)
-    with pytest.raises(ValueError):
-        enc.forward(params, np.zeros((3, 6)), training=False)
-
-
-def test_per_sample_norm_needs_no_state():
-    cfg = EncoderConfig(
-        input_dim=6, mlp_widths=(8,), head_hidden=8, head_out=4, head_norm="per_sample"
-    )
-    enc = Encoder(cfg)
-    assert enc.init_state() == {}
-    params = enc.init_params(11)
-    x = np.random.default_rng(12).standard_normal((4, 6))
-    _, proj_eval, _ = enc.forward(params, x, training=False)
-    _, proj_train, _ = enc.forward(params, x, training=True)
-    # per-sample normalization has no train/eval split
-    np.testing.assert_array_equal(proj_eval, proj_train)
 
 
 def test_encode_single_matches_batch_row():
     cfg = small_mlp_cfg()
     enc = Encoder(cfg)
     params = enc.init_params(13)
-    state = enc.init_state()
     x = np.random.default_rng(14).standard_normal((3, 6))
-    pre, proj, _ = enc.forward(params, x, state=state)
-    pre1, proj1, _ = enc.forward(params, x[1:2], state=state)
+    pre = enc.features(params, x)
+    pre1 = enc.features(params, x[1:2])
     # matmul kernels may differ between (1, d) and (n, d) shapes by an ulp
-    np.testing.assert_allclose(proj1[0], proj[1], atol=1e-12)
     np.testing.assert_allclose(pre1[0], pre[1], atol=1e-12)
 
 
@@ -173,7 +114,7 @@ def test_zero_row_at_normalization_raises_value_error():
     params["head.l2.b"][:] = 0.0
     x = np.random.default_rng(17).standard_normal((3, 6))
     with pytest.raises(ValueError, match="zero vector"):
-        enc.forward(params, x, training=True)
+        enc.forward(params, x)
 
 
 def test_overflowed_norm_at_normalization_gives_nan_row():
@@ -183,7 +124,7 @@ def test_overflowed_norm_at_normalization_gives_nan_row():
     params["head.l2.b"][0] = 1e300  # every row's squared norm overflows
     x = np.random.default_rng(17).standard_normal((3, 6))
     with np.errstate(over="ignore"):
-        _, proj, _ = enc.forward(params, x, training=True)
+        _, proj, _ = enc.forward(params, x)
     # x / inf would be a finite zero row; the projection marks it instead
     assert np.all(np.isnan(proj))
 
@@ -192,7 +133,7 @@ def test_input_shape_validation():
     enc = Encoder(small_mlp_cfg())
     params = enc.init_params(15)
     with pytest.raises(ValueError):
-        enc.forward(params, np.zeros((3, 5)), training=True)
+        enc.forward(params, np.zeros((3, 5)))
 
 
 def test_config_validation():
@@ -210,9 +151,7 @@ def test_config_validation():
         EncoderConfig(head_out=1)
     with pytest.raises(ValueError):
         EncoderConfig(head_norm="group")
-    with pytest.raises(ValueError):
-        EncoderConfig(norm_momentum=1.0)
-    for field, value in [("head_out", 2.5), ("mlp_widths", (8, 8.0)), ("norm_momentum", "0.9")]:
+    for field, value in [("head_out", 2.5), ("mlp_widths", (8, 8.0)), ("head_hidden", "8")]:
         with pytest.raises(ValueError, match=field):
             EncoderConfig(**{field: value})
 

@@ -379,7 +379,7 @@ def test_encode_dataset_is_forwards_pre_projection_bitwise(backbone):
     enc = Encoder(EncoderConfig(input_dim=16, backbone=backbone, patch_size=4))
     params = enc.init_params(3)
     x = np.random.default_rng(4).standard_normal((40, 16))
-    pre, _, _ = enc.forward(params, x, state=enc.init_state(), training=False)
+    pre, _, _ = enc.forward(params, x)
     feats = encode_dataset(x, enc, params)
     assert feats.shape == pre.shape
     assert feats.tobytes() == pre.tobytes()

@@ -97,9 +97,7 @@ def test_adamw_two_steps_match_hand_computation():
     g1 = np.array([0.5, 1.5, -0.25])
     g2 = np.array([-1.0, 0.5, 0.75])
 
-    ts = TrainState(
-        params={"w": w0.copy()}, m={"w": np.zeros(3)}, v={"w": np.zeros(3)}, norm_state={}
-    )
+    ts = TrainState(params={"w": w0.copy()}, m={"w": np.zeros(3)}, v={"w": np.zeros(3)})
     params = ts.params
     held = params["w"]
 
@@ -134,7 +132,6 @@ def test_adamw_scratch_gives_the_bits_of_fresh_temporaries():
             params={k: v.copy() for k, v in params.items()},
             m={k: np.zeros(s) for k, s in shapes.items()},
             v={k: np.zeros(s) for k, s in shapes.items()},
-            norm_state={},
         )
 
     fresh, kept = state(), state()
@@ -256,8 +253,6 @@ def test_training_replay_is_bitwise_deterministic():
     assert [r["loss"] for r in m1] == [r["loss"] for r in m2]
     for k in s1.params:
         np.testing.assert_array_equal(s1.params[k], s2.params[k])
-    for k in s1.norm_state:
-        np.testing.assert_array_equal(s1.norm_state[k], s2.norm_state[k])
 
 
 def test_two_view_variant_duplicates_first_image():
@@ -374,7 +369,7 @@ def test_checkpoint_round_trip_and_byte_determinism(tmp_path):
     assert loaded_cfg.to_dict() == cfg.to_dict()
     assert meta["tag"] == "x"
     assert loaded.step == ts.step
-    for field in ("params", "m", "v", "norm_state"):
+    for field in ("params", "m", "v"):
         saved, back = getattr(ts, field), getattr(loaded, field)
         assert list(back) == list(saved)
         for k in saved:
@@ -410,8 +405,6 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert [r["loss"] for r in tail_metrics] == [r["loss"] for r in full_metrics[8:]]
     for k in full.params:
         np.testing.assert_array_equal(resumed.params[k], full.params[k])
-    for k in full.norm_state:
-        np.testing.assert_array_equal(resumed.norm_state[k], full.norm_state[k])
 
 
 def test_run_training_writes_artifacts_and_resumes(tmp_path):
@@ -564,8 +557,8 @@ def _rewrite_arrays(path, raw, edit):
         ("params/img.head.l3.W", lambda _: np.zeros(3)),
         ("opt_m/img.head.l2.W", lambda v: v[:, :-1]),
         ("params/img.head.l2.b", lambda v: v.astype(np.float32)),
-        ("norm/img.head.n0.var", lambda v: v[:1]),
-        ("norm/img.head.n1.mean", lambda v: v.astype(">f8")),
+        ("opt_v/img.head.n0.g", lambda v: v[:1]),
+        ("opt_v/img.head.n1.b", lambda v: v.astype(">f8")),
     ],
     ids=["missing", "extra", "shape", "dtype", "norm_shape", "norm_byte_order"],
 )
