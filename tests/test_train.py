@@ -664,19 +664,17 @@ def test_write_metrics_round_trips_exact_floats(tmp_path):
 # -- golden train state -----------------------------------------------------------
 #
 # sha256 over save_checkpoint bytes then write_metrics bytes after 30 steps
-# on a 40-caption x 6 manifest. They pin params, Adam moments, norm state and
-# every metrics line, so a refactor of the step or the checkpoint format
-# that changes a single output bit fails here. Last moved by the GELU's numpy
-# erf: above |x| = 1 it uses numpy's exp, which is an ulp off libm's (the exp
-# scipy.special.erf calls) on a few inputs, so some cdf values moved by an ulp.
+# on a 40-caption x 6 manifest. They pin params, Adam moments, the stored
+# train config and every metrics line, so a refactor of the step or the
+# checkpoint format that changes a single output bit fails here.
 
 _GOLDEN_TRAIN_STATE_SHA256 = {
-    "multi_positive_c120": "af1890e58b3b372707ac9b3e6b248ef421d7edeca9295c38a2434eb68a1efa35",
-    "simclr_reduction_c40": "a23aaf71f80968f4a6b88d90c10b5c3431cc113d9b55bfaa78e76bfbc72f1d6a",
-    "multi_positive_text": "cbaa2285fce21579e42670d6a40ececb5fec7cbed1174861b8f99fda1f67d199",
-    "pair_only": "e46acdbf3d4e8a22e4fa1adade3df655d71dc84c3fc70a697460d4f93b24abd8",
-    "transformer": "f7e7232dbddcaadcc2ed1c19105b346471042d26a3337280008d38ec2d4a00b6",
-    "grad_clip_per_sample": "68d8813d17fdb33a86fc0a00dbb97a413f2fbc03a86d6282ad2a1c75eb50638f",
+    "multi_positive_c120": "b5d15caa6ed1f12407ec55624888a319fcbca0c5dee22caebd9b063f169da602",
+    "simclr_reduction_c40": "23fdf4f4ea6c7423762bcdce07fe86446b063ff5362f02bc79de21f8be39c6eb",
+    "multi_positive_text": "228666d52bed66218c990a2beb19b96c79968c810816fba2117648d0f8cbcc4d",
+    "pair_only": "c3886023c4fa7b91106e36114d7e9037b41292777e14e098bef1be7fca68bd5c",
+    "transformer": "0656c8c4c3060991606dac512a747dca265a0481ec5056d82eb99fe1b76885f1",
+    "grad_clip_per_sample": "5128322fc6553412fabd34386dd1cc306b4ea5268eb5283712b404d3d58fa124",
 }
 
 _GOLDEN_CONFIGS = {
