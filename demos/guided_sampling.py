@@ -8,7 +8,6 @@ distribution at scale 1, where the two must agree in moments.
 """
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from synthrep import (
     GeneratorConfig,
@@ -16,6 +15,14 @@ from synthrep import (
     generate_dataset,
     synth_captions,
 )
+
+
+def mean_pairwise_distance(x):
+    """Mean Euclidean distance over the pairs of rows of x."""
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    i, j = np.triu_indices(len(x), k=1)
+    return np.sqrt(np.maximum(d2[i, j], 0.0)).mean()
 
 
 def main():
@@ -46,7 +53,7 @@ def main():
         man = generate_dataset(
             [rec.prompt], 4000, cfg, seed=20 + i, guidance_scales=np.full(4000, w)
         )
-        spread = pdist(man.features[:1500]).mean()
+        spread = mean_pairwise_distance(man.features[:1500])
         center_dist = np.linalg.norm(man.features.mean(axis=0) - mean)
         print(f"{w:6.1f}  {spread:8.3f}  {center_dist:11.3f}")
     print(

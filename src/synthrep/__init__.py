@@ -5,7 +5,7 @@ each caption maps to a Gaussian component in feature space, and classifier-free
 guidance trades sample diversity for prompt fidelity. Encoders are pretrained
 with a multi-positive contrastive objective that treats every image sampled
 from the same caption as a positive, then scored with linear probes and
-episodic few-shot classification. Everything runs on numpy plus scipy and is
+episodic few-shot classification. Everything runs on numpy alone and is
 deterministic given a master seed.
 """
 

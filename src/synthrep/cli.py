@@ -1,11 +1,11 @@
 """Command-line pipeline: generate, train, probe, fewshot, sweep, report.
 
-Every run resolves a JSON config (defaults < --config file < --set overrides),
-derives all randomness from one master seed (--seed flag, SYNTHREP_SEED
-environment variable, or config "seed"), stages its artifacts in a temporary
-directory, and renames it into place on success. Reruns with identical config
-and seed produce byte-identical files. Failures print a single JSON error
-record to stderr and exit nonzero.
+Every run resolves a JSON config (the config dataclasses' defaults < --config
+file < --set overrides, merged alike), derives all randomness from one master
+seed (--seed flag, SYNTHREP_SEED environment variable, or config "seed"),
+stages its artifacts in a temporary directory, and renames it into place on
+success. Reruns with identical config and seed produce byte-identical files.
+Failures print a single JSON error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import platform
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .data import dedup_captions, load_captions, split_budget, synth_captions
@@ -48,6 +48,7 @@ from .manifest import (
 from .report import emit_report
 from .seeding import derive_u64
 from .train import (
+    _TEXT_VARIANTS,
     TrainConfig,
     load_checkpoint,
     run_training,
@@ -65,9 +66,18 @@ GUIDANCE_GROUPS = {
     "mixed": [2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0],
 }
 
+
+def _fields(config, *omit: str) -> dict:
+    """The fields of a config dataclass as JSON values, without `omit`."""
+    return {k: v for k, v in json.loads(json.dumps(asdict(config))).items() if k not in omit}
+
+
+# the text tower of the text loss variants: one narrow MLP layer and head
+_TEXT_TOWER = EncoderConfig(mlp_widths=(64,), head_hidden=128)
+
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "generator": GeneratorConfig().to_dict(),
+    "generator": _fields(GeneratorConfig()),
     "data": {
         "num_captions": 500,
         "images_per_caption": 10,
@@ -75,25 +85,15 @@ DEFAULT_CONFIG: dict = {
         "guidance_scales": None,
         "sampler": "ddim",
     },
-    # TrainConfig's defaults as JSON: the master seed replaces its `seed`, and
-    # an empty `encoder` leaves input_dim to follow the manifest
+    # the master seed replaces each config's `seed`; each tower's input_dim
+    # follows the manifest, and the text tower's head_out the image tower's
     "train": {
-        key: {} if key == "encoder" else value
-        for key, value in json.loads(json.dumps(TrainConfig().to_dict())).items()
-        if key != "seed"
+        **_fields(TrainConfig(), "seed"),
+        "encoder": _fields(EncoderConfig(), "input_dim"),
+        "text_encoder": _fields(_TEXT_TOWER, "input_dim", "head_out"),
     },
-    "probe": {
-        "normalize_features": False,
-        "val_fraction": 0.2,
-        "max_iterations": 500,
-    },
-    "fewshot": {
-        "ways": 5,
-        "shots": 5,
-        "queries_per_class": 15,
-        "episodes": 600,
-        "reg_lambda": 1.0,
-    },
+    "probe": _fields(ProbeConfig(), "seed"),
+    "fewshot": _fields(EpisodeSpec(), "seed"),
     "eval_data": {
         "num_captions": 200,
         "samples_per_caption": 5,
@@ -119,24 +119,18 @@ def _deep_update(base: dict, patch: dict) -> dict:
     return out
 
 
-def _parse_override(expr: str) -> tuple[list[str], object]:
+def _parse_override(expr: str) -> dict:
+    """The config patch of a --set expression: {"a": {"b": V}} for a.b=V."""
     if "=" not in expr:
         raise CliError(f"--set expects key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
     try:
-        value = json.loads(raw)
+        patch = json.loads(raw)
     except json.JSONDecodeError:
-        value = raw
-    return key.split("."), value
-
-
-def _apply_override(cfg: dict, path: list[str], value) -> None:
-    node = cfg
-    for part in path[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise CliError(f"cannot descend into non-dict config key {part!r}")
-    node[path[-1]] = value
+        patch = raw
+    for part in reversed(key.split(".")):
+        patch = {part: patch}
+    return patch
 
 
 def _guidance_scales(value):
@@ -151,7 +145,6 @@ def _guidance_scales(value):
 _NULLABLE = {
     "data.captions_file": _of_type(str, type(None)),
     "data.guidance_scales": _guidance_scales,
-    "train.text_encoder": _of_type(dict, type(None)),
     "train.grad_clip": _of_type(int, float, type(None)),
 }
 
@@ -159,14 +152,13 @@ _NULLABLE = {
 def _check_section(section: dict, default: dict, prefix: str) -> None:
     """Refuse a key that the default section lacks, and a value whose JSON
     type is not its default's: a float default takes any number, a null one
-    what _NULLABLE allows. The keys of an empty default object
-    (train.encoder) are left to EncoderConfig."""
+    what _NULLABLE allows."""
     for key, value in section.items():
         name = prefix + key
         if key not in default:
             raise CliError(f"unknown config key {name!r}")
         expected = default[key]
-        if expected and isinstance(expected, dict) and isinstance(value, dict):
+        if isinstance(expected, dict) and isinstance(value, dict):
             _check_section(value, expected, name + ".")
             continue
         if expected is None:
@@ -186,8 +178,7 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
     if getattr(ns, "config", None):
         cfg = _deep_update(cfg, _read_text(ns.config, "object", "a config file"))
     for expr in getattr(ns, "set", None) or []:
-        path, value = _parse_override(expr)
-        _apply_override(cfg, path, value)
+        cfg = _deep_update(cfg, _parse_override(expr))
     unknown = sorted(cfg.keys() - DEFAULT_CONFIG.keys())
     if unknown:
         raise CliError(f"unknown config key {unknown[0]!r}")
@@ -294,7 +285,6 @@ def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
         "versions": {
             "synthrep": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }
@@ -338,19 +328,13 @@ def _build_manifest(cfg: dict, seed: int, sampler_override: str | None = None):
 
 
 def _train_config(cfg: dict, feature_dim: int, seed: int) -> TrainConfig:
-    section = json.loads(json.dumps(cfg["train"]))
-    enc = dict(section.get("encoder") or {})
-    enc.setdefault("input_dim", feature_dim)
-    section["encoder"] = enc
-    variant = section.get("loss_variant", "multi_positive")
-    if variant in ("pair_only", "multi_positive_text") and not section.get("text_encoder"):
-        section["text_encoder"] = {
-            "input_dim": feature_dim,
-            "mlp_widths": [64],
-            "head_hidden": 128,
-            "head_out": enc.get("head_out", EncoderConfig().head_out),
-        }
-    section["seed"] = seed
+    """Both towers take the manifest's feature_dim as input_dim, and the text
+    tower, which only the text variants get, the image tower's head_out."""
+    section = dict(cfg["train"], seed=seed)
+    image = dict(section["encoder"], input_dim=feature_dim)
+    text = dict(section["text_encoder"], input_dim=feature_dim, head_out=image["head_out"])
+    section["encoder"] = image
+    section["text_encoder"] = text if section["loss_variant"] in _TEXT_VARIANTS else None
     try:
         return TrainConfig.from_dict(section)
     except (TypeError, ValueError) as exc:
@@ -423,14 +407,36 @@ def _cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_config(cfg: dict, seed: int) -> ProbeConfig:
-    pc = cfg["probe"]
-    return ProbeConfig(
-        normalize_features=pc["normalize_features"],
-        val_fraction=float(pc["val_fraction"]),
-        max_iterations=pc["max_iterations"],
-        seed=derive_u64(seed, 30),
-    )
+# the config class of each evaluation section and the salt of its seed
+_EVALUATIONS = {"probe": (ProbeConfig, 30), "fewshot": (EpisodeSpec, 31)}
+
+
+def _eval_config(cfg: dict, name: str, seed: int):
+    """The ProbeConfig or EpisodeSpec of config section `name`, seeded from
+    the master seed. A number given for a float field becomes a float."""
+    cls, salt = _EVALUATIONS[name]
+    default = DEFAULT_CONFIG[name]
+    fields = {key: type(default[key])(value) for key, value in cfg[name].items()}
+    return cls(**fields, seed=derive_u64(seed, salt))
+
+
+def _check_inputs(ns: argparse.Namespace, features: tuple, manifests: tuple) -> None:
+    """Refuse input flags of which one would go unread. Feature files come
+    all together, and with no manifest or --checkpoint, since they are
+    already encoded; without them, every manifest flag is needed."""
+
+    def flag(name: str) -> str:
+        return "--" + name.replace("_", "-")
+
+    if any(getattr(ns, name) for name in features):
+        if not all(getattr(ns, name) for name in features):
+            raise CliError(" and ".join(map(flag, features)) + " must be given together")
+        unread = [flag(name) for name in (*manifests, "checkpoint") if getattr(ns, name)]
+        if unread:
+            raise CliError(f"{unread[0]} goes with manifests, not with feature files")
+    elif not all(getattr(ns, name) for name in manifests):
+        needs = " and ".join(map(flag, manifests))
+        raise CliError(f"{ns.command} needs {needs}, or feature files")
 
 
 def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
@@ -443,7 +449,7 @@ def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
         train_x, train_y, train_hash = _features_from(ns.data, encoder)
         test_x, test_y, _ = _features_from(ns.eval_data, encoder)
         dataset_id = train_hash
-    report = linear_probe(train_x, train_y, test_x, test_y, _probe_config(cfg, seed))
+    report = linear_probe(train_x, train_y, test_x, test_y, _eval_config(cfg, "probe", seed))
     report.dataset_id = dataset_id
     report.checkpoint_id = checkpoint_id
     return report
@@ -463,12 +469,7 @@ def _write_report(
 def _cmd_probe(ns: argparse.Namespace) -> int:
     cfg = _resolve_config(ns)
     seed = _resolve_seed(ns, cfg)
-    if bool(ns.train_features) != bool(ns.test_features):
-        raise CliError("--train-features and --test-features must be given together")
-    if not ns.train_features and not (ns.data and ns.eval_data):
-        raise CliError("probe needs --data and --eval-data manifests, or feature files")
-    if ns.train_features and ns.checkpoint:
-        raise CliError("--checkpoint encodes manifests; feature files are already encoded")
+    _check_inputs(ns, ("train_features", "test_features"), ("data", "eval_data"))
     with _Staging(ns.out, ns.force) as staging:
         report = _probe_report(ns, cfg, seed)
         _write_report(staging, "probe", cfg, seed, report)
@@ -482,17 +483,8 @@ def _cmd_probe(ns: argparse.Namespace) -> int:
 def _cmd_fewshot(ns: argparse.Namespace) -> int:
     cfg = _resolve_config(ns)
     seed = _resolve_seed(ns, cfg)
-    fs = cfg["fewshot"]
-    spec = EpisodeSpec(
-        ways=fs["ways"],
-        shots=fs["shots"],
-        queries_per_class=fs["queries_per_class"],
-        episodes=fs["episodes"],
-        reg_lambda=float(fs["reg_lambda"]),
-        seed=derive_u64(seed, 31),
-    )
-    if ns.features and ns.checkpoint:
-        raise CliError("--checkpoint encodes manifests; feature files are already encoded")
+    spec = _eval_config(cfg, "fewshot", seed)
+    _check_inputs(ns, ("features",), ("data",))
     with _Staging(ns.out, ns.force) as staging:
         if ns.features:
             _, labels, feats = load_features(ns.features)
@@ -533,6 +525,15 @@ def _sweep_eval_split(cfg: dict, seed: int):
     return manifest, train_rows, test_rows
 
 
+def _set_positives(train: dict, m: int) -> int:
+    """Give the train section m positives per caption and return its views
+    per caption: multi_positive, or for m == 1 simclr_reduction's two views."""
+    views = 2 if m == 1 else m
+    train["loss_variant"] = "simclr_reduction" if m == 1 else "multi_positive"
+    train["batch_spec"]["samples_per_caption"] = views
+    return views
+
+
 def _sweep_point(axis: str, raw_value: str, cfg: dict):
     """Resolve one sweep cell into (config, numeric axis value); the value is
     None for a named guidance group."""
@@ -551,24 +552,15 @@ def _sweep_point(axis: str, raw_value: str, cfg: dict):
         cell["generator"]["guidance_scale"] = value
         cell["data"]["guidance_scales"] = None
     elif axis == "m":
-        if value == 1:
-            cell["train"]["loss_variant"] = "simclr_reduction"
-            cell["train"]["batch_spec"]["samples_per_caption"] = 2
-        else:
-            cell["train"]["loss_variant"] = "multi_positive"
-            cell["train"]["batch_spec"]["samples_per_caption"] = value
+        _set_positives(cell["train"], value)
     elif axis == "l":
         total = int(cell["data"]["num_captions"]) * int(cell["data"]["images_per_caption"])
         budget = split_budget(total, value)
         cell["data"]["num_captions"] = budget.num_captions
         cell["data"]["images_per_caption"] = value
-        m = min(int(cell["train"]["batch_spec"]["samples_per_caption"]), value)
-        if m == 1:
-            cell["train"]["loss_variant"] = "simclr_reduction"
-            m = 2
-        else:
-            cell["train"]["loss_variant"] = "multi_positive"
-        cell["train"]["batch_spec"]["samples_per_caption"] = m
+        m = _set_positives(
+            cell["train"], min(int(cell["train"]["batch_spec"]["samples_per_caption"]), value)
+        )
         # resizing the caption pool can break batch divisibility; shrink n to fit
         n = int(cell["train"]["batch_spec"]["num_captions"])
         epochs = int(cell["train"]["epochs"])
@@ -621,7 +613,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                 eval_manifest.class_ids[eval_train_rows],
                 feats[eval_test_rows],
                 eval_manifest.class_ids[eval_test_rows],
-                _probe_config(cell, seed),
+                _eval_config(cell, "probe", seed),
             )
             report.dataset_id = manifest.hash()
             report.checkpoint_id = digest.hexdigest()

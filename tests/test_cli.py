@@ -10,6 +10,7 @@ import pytest
 
 import synthrep
 from synthrep.cli import SEED_ENV_VAR, main
+from synthrep.encoder import EncoderConfig
 from feature_files import save_features
 from synthrep.manifest import read_manifest
 from synthrep.train import load_checkpoint, save_checkpoint
@@ -89,7 +90,7 @@ def test_generate_outputs(generated):
     prov = json.load(open(os.path.join(generated, "provenance.json")))
     assert prov["seed"] == 5
     assert prov["command"] == "generate"
-    assert set(prov["versions"]) >= {"synthrep", "numpy", "scipy", "python"}
+    assert set(prov["versions"]) == {"synthrep", "numpy", "python"}
 
 
 def test_generate_rerun_is_byte_identical(workdir, generated):
@@ -536,9 +537,25 @@ def _inputs(command, generated, eval_generated):
         ("generate", "generator.foo=1", "unknown config key 'generator.foo'"),
         ("train", 'train.tau="x"', "'train.tau' is invalid"),
         ("train", "train.tau=null", "'train.tau' is invalid"),
-        ("train", "train.encoder.head_out=2.5", "head_out must be an integer"),
+        ("train", "train.encoder.head_out=2.5", "'train.encoder.head_out' is invalid"),
         ("train", "train.encoder.mlp_widths=[8.5]", "mlp_widths must be integers"),
-        ("train", "train.encoder.norm_momentum=0.5", "unexpected keyword argument 'norm_momentum'"),
+        (
+            "train",
+            "train.encoder.norm_momentum=0.5",
+            "unknown config key 'train.encoder.norm_momentum'",
+        ),
+        # each tower's input_dim follows the manifest, the text tower's head_out the image's
+        ("train", "train.encoder.input_dim=16", "unknown config key 'train.encoder.input_dim'"),
+        (
+            "train",
+            "train.text_encoder.norm_momentum=0.5",
+            "unknown config key 'train.text_encoder.norm_momentum'",
+        ),
+        (
+            "train",
+            "train.text_encoder.head_out=32",
+            "unknown config key 'train.text_encoder.head_out'",
+        ),
         ("train", "train.batch_spec.num_captions=4.0", "'train.batch_spec.num_captions'"),
     ],
 )
@@ -552,6 +569,51 @@ def test_mistyped_or_unknown_config_value_is_json_error(
     assert main([command, "--config", cfg, *inputs, "--set", override, "--out", out]) == 1
     assert message in _single_json_error(capsys, command)
     assert not os.path.exists(out)
+
+
+def test_text_tower_overrides_merge_and_follow_the_manifest(workdir, tmp_path):
+    # the text tower resolves like the image tower: its input_dim follows the
+    # manifest, its head_out the image tower's, and an object given to --set
+    # merges into the defaults as a dotted key does
+    root, cfg = workdir
+    data = str(tmp_path / "data16")
+    assert (
+        main(["generate", "--config", cfg, "--seed", "5", "--set", "generator.feature_dim=16",
+              "--out", data])
+        == 0
+    )
+    overrides = ['train.text_encoder={"mlp_widths":[32]}', "train.text_encoder.mlp_widths=[32]"]
+    checkpoints = []
+    for i, override in enumerate(overrides):
+        out = str(tmp_path / f"run{i}")
+        code = main(
+            ["train", "--config", cfg, "--seed", "5",
+             "--data", os.path.join(data, "manifest.jsonl"),
+             "--set", "train.loss_variant=multi_positive_text", "--set", override, "--out", out]
+        )
+        assert code == 0
+        checkpoints.append(os.path.join(out, "checkpoint.bin"))
+    assert _sha256_of(checkpoints[0]) == _sha256_of(checkpoints[1])
+    tcfg, _, _ = load_checkpoint(checkpoints[0])
+    assert tcfg.encoder.input_dim == 16
+    head_out = TINY["train"]["encoder"]["head_out"]
+    assert tcfg.text_encoder == EncoderConfig(
+        input_dim=16, mlp_widths=(32,), head_hidden=128, head_out=head_out
+    )
+
+
+def test_integer_for_a_float_key_is_reported_as_a_float(workdir, generated, tmp_path):
+    # EpisodeSpec.reg_lambda is a float, and the report writes it as one
+    root, cfg = workdir
+    out = str(tmp_path / "fewshot")
+    code = main(
+        ["fewshot", "--config", cfg, "--seed", "5",
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--set", "fewshot.reg_lambda=2", "--out", out]
+    )
+    assert code == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        assert '"reg_lambda":2.0,' in fh.read()
 
 
 def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, tmp_path):
@@ -573,67 +635,31 @@ def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, 
     assert not os.path.exists(out)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # commands that never fit a classifier should not pay for scipy.optimize
-    probe = "import sys, synthrep.cli; print('scipy.optimize' in sys.modules)"
-    assert _fresh_stdout("-c", probe).strip() == "False"
-
-
-def test_probe_and_fewshot_load_no_scipy_optimize(workdir, generated, eval_generated, tmp_path):
-    # the batched numpy solver replaced scipy.optimize.minimize, and the
-    # GELU's numpy erf replaced scipy.special's: train and the encoder
-    # forwards of probe and fewshot load neither
+def test_no_command_loads_scipy(workdir, eval_generated, tmp_path):
+    # numpy is the only runtime dependency: the GELU's erf and the L-BFGS
+    # solver are numpy, and provenance records no scipy version
     root, cfg = workdir
     script = (
         "import sys\n"
         "from synthrep.cli import main\n"
-        "cfg, data, evl = sys.argv[1:]\n"
-        "def loaded():\n"
-        "    print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules))\n"
-        "assert main(['train', '--config', cfg, '--seed', '5', '--data', data,\n"
-        "             '--out', 'train']) == 0\n"
-        "loaded()\n"
-        "assert main(['probe', '--config', cfg, '--seed', '5', '--data', data,\n"
-        "             '--eval-data', evl, '--checkpoint', 'train/checkpoint.bin',\n"
-        "             '--out', 'probe']) == 0\n"
-        "assert main(['fewshot', '--config', cfg, '--seed', '5', '--data', data,\n"
-        "             '--checkpoint', 'train/checkpoint.bin', '--out', 'fewshot']) == 0\n"
-        "loaded()\n"
+        "cfg, evl = sys.argv[1:]\n"
+        "def run(*args):\n"
+        "    assert main([*args, '--config', cfg, '--seed', '5']) == 0, args\n"
+        "run('generate', '--out', 'data')\n"
+        "run('train', '--data', 'data/manifest.jsonl', '--out', 'train')\n"
+        "run('probe', '--data', 'data/manifest.jsonl', '--eval-data', evl,\n"
+        "    '--checkpoint', 'train/checkpoint.bin', '--out', 'probe')\n"
+        "run('fewshot', '--data', 'data/manifest.jsonl',\n"
+        "    '--checkpoint', 'train/checkpoint.bin', '--out', 'fewshot')\n"
+        "run('sweep', '--axis', 'epochs', '--values', '1', '--out', 'sweep')\n"
+        "run('report', '--inputs', 'probe/report.json', '--out', 'rendered')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    data = os.path.join(generated, "manifest.jsonl")
     evl = os.path.join(eval_generated, "manifest.jsonl")
-    out = _fresh_stdout("-c", script, cfg, data, evl, cwd=tmp_path)
-    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]", "[]"]
-    assert (tmp_path / "probe" / "report.json").exists()
-    assert (tmp_path / "fewshot" / "report.json").exists()
-
-
-def test_cli_import_leaves_scipy_special_unloaded():
-    # no command loads scipy.special: the GELU's erf is numpy
-    probe = "import sys, synthrep.cli; print('scipy.special' in sys.modules)"
-    assert _fresh_stdout("-c", probe).strip() == "False"
-
-
-def test_generate_and_report_load_no_scipy_submodule(workdir, generated, eval_generated, tmp_path):
-    root, cfg = workdir
-    report = str(tmp_path / "probe")
-    code = main(
-        ["probe", "--config", cfg, "--seed", "5",
-         "--data", os.path.join(generated, "manifest.jsonl"),
-         "--eval-data", os.path.join(eval_generated, "manifest.jsonl"), "--out", report]
-    )
-    assert code == 0
-    script = (
-        "import sys\n"
-        "from synthrep.cli import main\n"
-        "cfg, report = sys.argv[1:]\n"
-        "assert main(['generate', '--config', cfg, '--seed', '5', '--out', 'data']) == 0\n"
-        "assert main(['report', '--inputs', report, '--out', 'rendered']) == 0\n"
-        "print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules))\n"
-    )
-    out = _fresh_stdout("-c", script, cfg, os.path.join(report, "report.json"), cwd=tmp_path)
+    out = _fresh_stdout("-c", script, cfg, evl, cwd=tmp_path)
     assert out.splitlines()[-1] == "[]"
-    assert (tmp_path / "data" / "manifest.jsonl").exists()
+    for report in ("probe", "fewshot", "sweep/epochs_1"):
+        assert (tmp_path / report / "report.json").exists()
     assert (tmp_path / "rendered").is_dir()
 
 
@@ -826,6 +852,44 @@ def test_checkpoint_with_feature_files_is_json_error(
     )
     assert code == 1
     assert "--checkpoint" in _single_json_error(capsys, command)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("probe", ["--data", "nonexistent.jsonl", "--eval-data", "nope.jsonl"]),
+        ("probe", ["--eval-data", "nope.jsonl"]),
+        ("fewshot", ["--data", "MANIFEST"]),
+    ],
+)
+def test_manifest_flags_with_feature_files_are_json_error(
+    workdir, generated, capsys, tmp_path, command, flags
+):
+    # feature files replace the manifests: a manifest flag would go unread
+    root, cfg = workdir
+    manifest = os.path.join(generated, "manifest.jsonl")
+    man = read_manifest(manifest)
+    feats = str(tmp_path / "features.jsonl")
+    save_features(feats, np.arange(man.num_samples), man.class_ids, man.features)
+    inputs = {
+        "probe": ["--train-features", feats, "--test-features", feats],
+        "fewshot": ["--features", feats],
+    }[command]
+    flags = [manifest if f == "MANIFEST" else f for f in flags]
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *inputs, *flags, "--out", out]) == 1
+    assert flags[0] in _single_json_error(capsys, command)
+    assert not os.path.exists(out)
+
+
+def test_fewshot_without_data_or_features_is_json_error(workdir, capsys, tmp_path):
+    root, cfg = workdir
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    assert main(["fewshot", "--config", cfg, "--out", out]) == 1
+    assert "--data" in _single_json_error(capsys, "fewshot")
     assert not os.path.exists(out)
 
 
