@@ -635,31 +635,65 @@ def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, 
     assert not os.path.exists(out)
 
 
-def test_no_command_loads_scipy(workdir, eval_generated, tmp_path):
-    # numpy is the only runtime dependency: the GELU's erf and the L-BFGS
-    # solver are numpy, and provenance records no scipy version
+# numpy is the only runtime dependency: the GELU's erf and the L-BFGS solver
+# are numpy, and provenance records no scipy version. Each script prints the
+# scipy modules a fresh process has loaded.
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    probe = "import sys, synthrep.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh_stdout("-c", probe).strip() == "False"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    probe = "import sys, synthrep.cli; print('scipy.special' in sys.modules)"
+    assert _fresh_stdout("-c", probe).strip() == "False"
+
+
+def test_probe_and_fewshot_load_no_scipy_optimize(workdir, generated, eval_generated, tmp_path):
+    # train and the encoder forwards of probe and fewshot load no scipy module
     root, cfg = workdir
     script = (
         "import sys\n"
         "from synthrep.cli import main\n"
-        "cfg, evl = sys.argv[1:]\n"
+        "cfg, data, evl = sys.argv[1:]\n"
+        "def run(*args):\n"
+        "    assert main([*args, '--config', cfg, '--seed', '5']) == 0, args\n"
+        "run('train', '--data', data, '--out', 'train')\n"
+        + _LOADED_SCIPY
+        + "run('probe', '--data', data, '--eval-data', evl,\n"
+        "    '--checkpoint', 'train/checkpoint.bin', '--out', 'probe')\n"
+        "run('fewshot', '--data', data, '--checkpoint', 'train/checkpoint.bin',\n"
+        "    '--out', 'fewshot')\n"
+        + _LOADED_SCIPY
+    )
+    data = os.path.join(generated, "manifest.jsonl")
+    evl = os.path.join(eval_generated, "manifest.jsonl")
+    out = _fresh_stdout("-c", script, cfg, data, evl, cwd=tmp_path)
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]", "[]"]
+    assert (tmp_path / "probe" / "report.json").exists()
+    assert (tmp_path / "fewshot" / "report.json").exists()
+
+
+def test_generate_and_report_load_no_scipy_submodule(workdir, tmp_path):
+    # generate, sweep and report load no scipy module either
+    root, cfg = workdir
+    script = (
+        "import sys\n"
+        "from synthrep.cli import main\n"
+        "cfg = sys.argv[1]\n"
         "def run(*args):\n"
         "    assert main([*args, '--config', cfg, '--seed', '5']) == 0, args\n"
         "run('generate', '--out', 'data')\n"
-        "run('train', '--data', 'data/manifest.jsonl', '--out', 'train')\n"
-        "run('probe', '--data', 'data/manifest.jsonl', '--eval-data', evl,\n"
-        "    '--checkpoint', 'train/checkpoint.bin', '--out', 'probe')\n"
-        "run('fewshot', '--data', 'data/manifest.jsonl',\n"
-        "    '--checkpoint', 'train/checkpoint.bin', '--out', 'fewshot')\n"
         "run('sweep', '--axis', 'epochs', '--values', '1', '--out', 'sweep')\n"
-        "run('report', '--inputs', 'probe/report.json', '--out', 'rendered')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "run('report', '--inputs', 'sweep/epochs_1/report.json', '--out', 'rendered')\n"
+        + _LOADED_SCIPY
     )
-    evl = os.path.join(eval_generated, "manifest.jsonl")
-    out = _fresh_stdout("-c", script, cfg, evl, cwd=tmp_path)
+    out = _fresh_stdout("-c", script, cfg, cwd=tmp_path)
     assert out.splitlines()[-1] == "[]"
-    for report in ("probe", "fewshot", "sweep/epochs_1"):
-        assert (tmp_path / report / "report.json").exists()
+    assert (tmp_path / "data" / "manifest.jsonl").exists()
+    assert (tmp_path / "sweep" / "epochs_1" / "report.json").exists()
     assert (tmp_path / "rendered").is_dir()
 
 
