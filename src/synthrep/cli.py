@@ -413,11 +413,9 @@ _EVALUATIONS = {"probe": (ProbeConfig, 30), "fewshot": (EpisodeSpec, 31)}
 
 def _eval_config(cfg: dict, name: str, seed: int):
     """The ProbeConfig or EpisodeSpec of config section `name`, seeded from
-    the master seed. A number given for a float field becomes a float."""
+    the master seed."""
     cls, salt = _EVALUATIONS[name]
-    default = DEFAULT_CONFIG[name]
-    fields = {key: type(default[key])(value) for key, value in cfg[name].items()}
-    return cls(**fields, seed=derive_u64(seed, salt))
+    return cls(**cfg[name], seed=derive_u64(seed, salt))
 
 
 def _check_inputs(ns: argparse.Namespace, features: tuple, manifests: tuple) -> None:

@@ -190,6 +190,18 @@ def _norm_bwd(dy, cache):
     return dx, dgamma, dbeta
 
 
+def _softmax(z, axis=-1):
+    """Softmax of z along `axis`, overflow-safe: returns (q, log q). A -inf
+    entry gets q exactly 0 and log q -inf. The package's one softmax: the
+    losses, attention, the sampler's mixture posterior and the probe."""
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    q = np.exp(shifted)
+    denom = np.sum(q, axis=axis, keepdims=True)
+    q /= denom
+    shifted -= np.log(denom)
+    return q, shifted
+
+
 def _l2norm_fwd(x):
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms == 0):
@@ -216,10 +228,7 @@ def _attention_fwd(x, p, prefix, heads):
         z, affine[name] = _affine_fwd(x, p[f"{prefix}.W{name}"], p[f"{prefix}.b{name}"])
         qkv.append(z.reshape(b, t, heads, dk).transpose(0, 2, 1, 3))
     q, k, v = qkv
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
-    scores -= scores.max(axis=-1, keepdims=True)
-    a = np.exp(scores)
-    a /= a.sum(axis=-1, keepdims=True)
+    a = _softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk))[0]
     ctx = (a @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
     out, affine["o"] = _affine_fwd(ctx, p[prefix + ".Wo"], p[prefix + ".bo"])
     return out, (affine, q, k, v, a)

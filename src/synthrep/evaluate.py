@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoder import Encoder
+from .encoder import Encoder, _softmax
 from .manifest import _of_type, _read_field, _read_text
 from .seeding import SALT_EVAL, _check_numbers, rng_from
 
@@ -91,30 +91,6 @@ class EvalReport:
         return asdict(self)
 
 
-def _logsumexp_rows(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(z))) along `axis` of a float64 array, which it removes.
-
-    The algorithm of scipy 1.17's `logsumexp(z, axis=axis)`, bit for bit: the
-    m tied maxima are left out of the shifted sum, which is divided by m to
-    give s, and the result is log1p(s) + log(m) + max; entries whose result
-    is not finite fall back to log(sum(exp(z))).
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(z, axis=axis, keepdims=True)
-        is_max = z == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=z.dtype)
-        # the maxima are zeroed after exp, not set to -inf before it: exp is
-        # slow on -inf; a non-finite row gives NaN here and falls back below
-        e = np.exp(z - a_max)
-        e *= ~is_max
-        s = np.sum(e, axis=axis, keepdims=True) / m
-        out = np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(np.moveaxis(z, axis, -1)[bad]), axis=-1))
-    return out
-
-
 # L-BFGS settings: scipy's L-BFGS-B defaults (maxcor, pgtol, factr * eps, maxls)
 _MEMORY = 10
 _GTOL = 1e-5
@@ -188,11 +164,9 @@ def fit_logreg(
         w = theta[:, :dk]
         logits = w.reshape(-1, k, d) @ xt
         logits += theta[:, dk:, None]
-        lse = _logsumexp_rows(logits, axis=1)
-        picked = np.take_along_axis(logits, y, axis=1)[:, 0]
-        f = np.mean(lse - picked, axis=-1) + 0.5 * lam * _rowdot(w, w)
-        logits -= lse[:, None]
-        err = np.exp(logits)
+        err, log_q = _softmax(logits, axis=1)
+        f = -np.mean(np.take_along_axis(log_q, y, axis=1)[:, 0], axis=-1)
+        f += 0.5 * lam * _rowdot(w, w)
         err -= onehot
         err /= n
         gw = (err @ x).reshape(-1, dk)

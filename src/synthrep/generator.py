@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .encoder import _softmax
 from .seeding import (
     SALT_CAPTION_OFFSET,
     SALT_CLASS_CENTER,
@@ -207,10 +208,7 @@ def _mixture_eps(
     scaled = alpha * centers
     diff = z[..., None, :] - scaled
     np.square(diff, out=diff)
-    logits = -0.5 * np.sum(diff, axis=-1) / total  # (..., K)
-    logits -= np.max(logits, axis=-1, keepdims=True)
-    resp = np.exp(logits)
-    resp /= np.sum(resp, axis=-1, keepdims=True)
+    resp = _softmax(-0.5 * np.sum(diff, axis=-1) / total)[0]  # (..., K)
 
     np.subtract(z[..., None, :], scaled, out=diff)
     diff *= alpha * var / total

@@ -9,7 +9,9 @@ two-view loss. The symmetric image-text term is the second loss term; a
 train step sums whichever of the two its loss variant uses.
 
 All gradients are analytic and exact, derived from d(loss)/d(logits) =
-(q - p) / num_anchors. Self-masking removes the diagonal from the softmax
+(q - p) / num_anchors. This module forms only the scaled similarities and
+the self-mask; q and log q come from the encoder's softmax kernel, the one
+the whole package uses. Self-masking removes the diagonal from the softmax
 normalization exactly (a -inf logit, so exp is exactly 0), not via a large
 negative sentinel.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import _l2norm_bwd, _l2norm_fwd
+from .encoder import _l2norm_bwd, _l2norm_fwd, _softmax
 
 __all__ = [
     "EmbeddingBatch",
@@ -67,21 +69,16 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
-def _softmax(
+def _similarity_softmax(
     anchors: np.ndarray, candidates: np.ndarray, tau: float, self_mask: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of scaled similarities, overflow-safe: returns (q, log q).
-
-    With self_mask the diagonal is excluded from the normalization (requires
-    square logits).
-    """
+    """(q, log q) of the row softmax of scaled similarities. With self_mask
+    the diagonal is excluded from the normalization (requires square
+    logits)."""
     logits = anchors @ candidates.T / tau
     if self_mask:
         np.fill_diagonal(logits, -np.inf)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    denom = np.sum(expd, axis=1, keepdims=True)
-    return expd / denom, shifted - np.log(denom)
+    return _softmax(logits)
 
 
 def _softmax_ce(
@@ -96,7 +93,7 @@ def _softmax_ce(
     Returns (loss, grad_anchors, grad_candidates).
     """
     a = anchors.shape[0]
-    q, log_q = _softmax(anchors, candidates, tau, self_mask)
+    q, log_q = _similarity_softmax(anchors, candidates, tau, self_mask)
     active = p > 0
     if np.any(~np.isfinite(log_q[active])):
         raise FloatingPointError("log q diverged where p > 0")
@@ -112,7 +109,7 @@ def contrastive_distribution(batch: EmbeddingBatch, tau: float) -> np.ndarray:
     """Row-stochastic q with q[i][i] = 0, overflow-safe."""
     batch.validate()
     e = batch.embeddings
-    return _softmax(e, e, _check_tau(tau), self_mask=True)[0]
+    return _similarity_softmax(e, e, _check_tau(tau), self_mask=True)[0]
 
 
 def match_distribution(caption_ids: np.ndarray) -> np.ndarray:

@@ -57,17 +57,26 @@ _NUMBER_FIELDS = {
 def _check_numbers(config) -> None:
     """Raise ValueError naming the first numeric or boolean field of the
     dataclass `config` whose value its annotation refuses; a boolean is no
-    number, and only a boolean passes a boolean field."""
+    number, and only a boolean passes a boolean field. An integer in a float
+    field is stored as float(v), so that 4 and 4.0 make one config."""
     for f in dataclasses.fields(config):
         if f.type not in _NUMBER_FIELDS:
             continue
         what, types = _NUMBER_FIELDS[f.type]
         value = getattr(config, f.name)
-        entries = value if f.type.startswith("tuple") else (value,)
+        is_tuple = f.type.startswith("tuple")
+        entries = value if is_tuple else (value,)
         if any(
             isinstance(v, bool) != (bool in types) or not isinstance(v, types) for v in entries
         ):
             raise ValueError(f"{f.name} must be {what}, not {value!r}")
+        if "float" in f.type:
+            try:
+                floats = [v if v is None else float(v) for v in entries]
+            except OverflowError:
+                raise ValueError(f"{f.name} must be {what} within float range") from None
+            # object.__setattr__, since some configs are frozen
+            object.__setattr__(config, f.name, tuple(floats) if is_tuple else floats[0])
 
 
 def caption_fingerprint(text: str) -> tuple[int, int]:

@@ -616,6 +616,21 @@ def test_integer_for_a_float_key_is_reported_as_a_float(workdir, generated, tmp_
         assert '"reg_lambda":2.0,' in fh.read()
 
 
+def test_integer_guidance_scale_writes_the_manifest_of_its_float(workdir, tmp_path):
+    # GeneratorConfig.guidance_scale is a float: 4 and 4.0 are one config
+    root, cfg = workdir
+    manifests = []
+    for value in ("4", "4.0"):
+        out = str(tmp_path / value)
+        code = main(
+            ["generate", "--config", cfg, "--seed", "5",
+             "--set", f"generator.guidance_scale={value}", "--out", out]
+        )
+        assert code == 0
+        manifests.append(_sha256_of(os.path.join(out, "manifest.jsonl")))
+    assert manifests[0] == manifests[1]
+
+
 def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, tmp_path):
     root, cfg = workdir
     man = read_manifest(os.path.join(generated, "manifest.jsonl"))

@@ -2,9 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, log_softmax, softmax
 
-from synthrep.encoder import Encoder, EncoderConfig, _erf
+from synthrep.encoder import Encoder, EncoderConfig, _erf, _softmax
 
 
 def small_mlp_cfg():
@@ -176,6 +176,28 @@ def test_erf_matches_scipy(scale):
     assert got[small].tobytes() == want[small].tobytes()
     ulps = np.abs(got.view(np.int64) - want.view(np.int64))
     assert ulps.max() <= 1
+
+
+def _softmax_cases():
+    rng = np.random.default_rng(17)
+    with_inf = rng.standard_normal((6, 5))
+    with_inf[:, 2] = -np.inf
+    return {
+        "random": (rng.standard_normal((200, 10)) * 3.0, -1),
+        "minus_inf": (with_inf, -1),
+        "magnitude_1e300": (rng.standard_normal((30, 6)) * 1e300, -1),
+        "batch_axis_1": (rng.standard_normal((4, 7, 20)) * 5.0, 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_softmax_cases()))
+def test_softmax_matches_scipy(case):
+    z, axis = _softmax_cases()[case]
+    q, log_q = _softmax(z, axis=axis)
+    np.testing.assert_allclose(q, softmax(z, axis=axis), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(log_q, log_softmax(z, axis=axis), rtol=1e-14, atol=0)
+    inf = np.isneginf(z)
+    assert np.all(q[inf] == 0.0) and np.all(np.isneginf(log_q[inf]))
 
 
 def test_erf_edge_values():

@@ -1,14 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from synthrep.evaluate import EpisodeSpec
+from synthrep.generator import GeneratorConfig
 from synthrep.seeding import (
     SALT_AUGMENT,
     SALT_BATCH,
+    _check_numbers,
     caption_fingerprint,
     derive_u64,
     rng_from,
     seed_sequence,
 )
+from synthrep.train import TrainConfig
 
 
 def test_rng_from_is_deterministic():
@@ -69,3 +75,33 @@ def test_caption_fingerprint_matches_sha256():
 def test_seed_sequence_rejects_negative():
     with pytest.raises(ValueError):
         seed_sequence(SALT_BATCH, -1)
+
+
+def test_an_integer_for_a_float_field_is_stored_as_a_float():
+    # _check_numbers stores float(v), so 4 and 4.0 give one config and one dict
+    cases = [
+        (TrainConfig(tau=1, grad_clip=2), ("tau", "grad_clip")),
+        (GeneratorConfig(guidance_scale=np.int64(4)), ("guidance_scale",)),
+        (EpisodeSpec(reg_lambda=2), ("reg_lambda",)),
+    ]
+    for config, names in cases:
+        for name in names:
+            value = dataclasses.asdict(config)[name]
+            assert type(value) is float and value == int(value)
+    assert TrainConfig(tau=1) == TrainConfig(tau=1.0)
+    assert type(TrainConfig(tau=1).epochs) is int
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        scales: "tuple[float, ...]"
+        count: "int"
+
+    frozen = Frozen(scales=(1, 2.5, np.int64(3)), count=2)
+    _check_numbers(frozen)
+    assert [type(v) for v in frozen.scales] == [float, float, float]
+    assert frozen.scales == (1.0, 2.5, 3.0) and type(frozen.count) is int
+
+
+def test_an_integer_beyond_float_range_is_refused_by_name():
+    with pytest.raises(ValueError, match="guidance_scale must be a number within float range"):
+        GeneratorConfig(guidance_scale=10**400)
