@@ -133,26 +133,31 @@ def _parse_override(expr: str) -> dict:
     return patch
 
 
+def _number(value) -> float:
+    """A JSON number as a float, so that 4 and 4.0 make one config."""
+    return float(_of_type(int, float)(value))
+
+
 def _guidance_scales(value):
     """data.guidance_scales: null, a group name or a list of numbers."""
-    if value is not None and not isinstance(value, str):
-        for w in _of_type(list)(value):
-            _of_type(int, float)(w)
-    return value
+    if value is None or isinstance(value, str):
+        return value
+    return [_number(w) for w in _of_type(list)(value)]
 
 
 # what the config keys whose default is null may hold
 _NULLABLE = {
     "data.captions_file": _of_type(str, type(None)),
     "data.guidance_scales": _guidance_scales,
-    "train.grad_clip": _of_type(int, float, type(None)),
+    "train.grad_clip": lambda v: v if v is None else _number(v),
 }
 
 
 def _check_section(section: dict, default: dict, prefix: str) -> None:
     """Refuse a key that the default section lacks, and a value whose JSON
     type is not its default's: a float default takes any number, a null one
-    what _NULLABLE allows."""
+    what _NULLABLE allows. A number where a float is expected is stored as
+    a float."""
     for key, value in section.items():
         name = prefix + key
         if key not in default:
@@ -164,12 +169,12 @@ def _check_section(section: dict, default: dict, prefix: str) -> None:
         if expected is None:
             convert = _NULLABLE[name]
         elif isinstance(expected, float):
-            convert = _of_type(int, float)
+            convert = _number
         else:
             convert = _of_type(type(expected))
         try:
-            convert(value)
-        except TypeError as exc:
+            section[key] = convert(value)
+        except (TypeError, OverflowError) as exc:
             raise CliError(f"config key {name!r} is invalid: {exc}") from None
 
 

@@ -203,19 +203,16 @@ def _mixture_eps(
 ) -> np.ndarray:
     var = cfg.conditional_std**2 + cfg.caption_offset_scale**2
     total = alpha**2 * var + sigma**2
-    # one (..., K, d) buffer serves every step below: the squared distances,
-    # then z - alpha * centers again, then the weighted posterior means
-    scaled = alpha * centers
-    diff = z[..., None, :] - scaled
-    np.square(diff, out=diff)
-    resp = _softmax(-0.5 * np.sum(diff, axis=-1) / total)[0]  # (..., K)
-
-    np.subtract(z[..., None, :], scaled, out=diff)
-    diff *= alpha * var / total
-    diff += centers
-    diff *= resp[..., :, None]
-    m = np.sum(diff, axis=-2)  # (..., d)
-    return (z - alpha * m) / sigma
+    # responsibilities: softmax over k of -|z - alpha c_k|^2 / (2 total), with
+    # the |z|^2 term, equal for every k, left out. Both products run one
+    # matmul per row, so a row's bits do not depend on how many rows come along.
+    logits = (z[..., None, :] @ centers.T)[..., 0, :]  # (..., K)
+    logits -= 0.5 * alpha * np.sum(centers * centers, axis=-1)
+    logits *= alpha / total
+    resp = _softmax(logits)[0]
+    # posterior mean m = s z + (1 - s alpha) sum_k r_k c_k with s = alpha var / total,
+    # so z - alpha m = (sigma^2 / total) (z - alpha sum_k r_k c_k)
+    return (z - alpha * (resp[..., None, :] @ centers)[..., 0, :]) * (sigma / total)
 
 
 def epsilon_cond(
@@ -241,15 +238,11 @@ def epsilon_uncond(z: np.ndarray, level_index: int, cfg: GeneratorConfig) -> np.
 
     Marginalizing captions within a class inflates the component variance to
     sigma_c^2 + caption_offset_scale^2; the marginal of z is an equal-weight
-    mixture over class centers. The prediction is the responsibility-weighted
-    posterior mean pushed through the same eps conversion as epsilon_cond.
+    mixture over class centers. The prediction is (z - alpha * m) / sigma, as
+    in epsilon_cond, for the responsibility-weighted posterior mean m.
     """
     alpha, sigma = _level(cfg.schedule, level_index)
     return _mixture_eps(np.asarray(z, dtype=float), _class_centers(cfg), alpha, sigma, cfg)
-
-
-# guided rows per mixture evaluation: bounds the (rows, K, d) temporaries
-_MIXTURE_ROWS = 128
 
 
 class SamplerNumericsError(RuntimeError):
@@ -266,13 +259,13 @@ def _ddim_trajectory(
     alone, the others blend in the mixture over `centers` (K, d). At each
     level: x_hat = (z - sigma * eps) / alpha, then
     z <- alpha' * x_hat + sigma' * eps. Returns the final x_hat. All updates
-    are elementwise or per-row reductions, so any stack of rows gives the
-    same bits as sampling each row alone.
+    are elementwise, per-row reductions or per-row matmuls, so any stack of
+    rows gives the same bits as sampling each row alone.
     """
     schedule = cfg.schedule
     steps = len(schedule)
     guided = np.flatnonzero(w[:, 0] != 1.0)
-    blocks = [guided[lo : lo + _MIXTURE_ROWS] for lo in range(0, guided.size, _MIXTURE_ROWS)]
+    w_guided = w[guided]
     z = z0
     # overflow here is not a warning condition: it surfaces as a non-finite
     # intermediate and raises with the offending step index
@@ -280,9 +273,9 @@ def _ddim_trajectory(
         for i in range(steps):
             alpha, sigma = _level(schedule, i)
             eps = _cond_eps(z, means, alpha, sigma, cfg)
-            for rows in blocks:
-                eps_u = _mixture_eps(z[rows], centers, alpha, sigma, cfg)
-                eps[rows] = w[rows] * eps[rows] + (1.0 - w[rows]) * eps_u
+            if guided.size:
+                eps_u = _mixture_eps(z[guided], centers, alpha, sigma, cfg)
+                eps[guided] = w_guided * eps[guided] + (1.0 - w_guided) * eps_u
             x_hat = (z - sigma * eps) / alpha
             if not np.all(np.isfinite(x_hat)):
                 raise SamplerNumericsError(f"non-finite intermediate at step {i}")
@@ -313,11 +306,10 @@ def generate_dataset(
 
     Returns a DatasetManifest.
     """
-    from .manifest import DatasetManifest
+    from .manifest import DatasetManifest, _sampler
 
     cfg.validate()
-    if sampler not in ("ddim", "direct"):
-        raise ValueError(f"unknown sampler {sampler!r}")
+    _sampler(sampler)
     if images_per_caption < 1:
         raise ValueError("images_per_caption must be >= 1")
     if not captions:

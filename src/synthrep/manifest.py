@@ -51,6 +51,12 @@ def config_hash(cfg: GeneratorConfig, master_seed: int) -> str:
     return json_digest({"config": cfg.to_dict(), "master_seed": int(master_seed)})
 
 
+def _sampler(value):
+    if value not in ("ddim", "direct"):
+        raise ValueError(f"unknown sampler {value!r}")
+    return value
+
+
 @dataclass
 class DatasetManifest:
     """Generated samples plus everything needed to regenerate them."""
@@ -66,8 +72,7 @@ class DatasetManifest:
     sampler: str = "ddim"
 
     def __post_init__(self) -> None:
-        if self.sampler not in ("ddim", "direct"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+        _sampler(self.sampler)
         n = self.features.shape[0]
         for name in (
             "caption_ids",
@@ -128,36 +133,30 @@ class DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str) -> None:
-    lines = [
-        canonical_json(
-            {
-                "kind": _KIND,
-                "version": _VERSION,
-                "config": manifest.config.to_dict(),
-                "master_seed": int(manifest.master_seed),
-                "config_hash": config_hash(manifest.config, manifest.master_seed),
-                "content_hash": manifest.hash(),
-                "num_samples": manifest.num_samples,
-                "sampler": manifest.sampler,
-            }
-        )
-    ]
-    for i in range(manifest.num_samples):
-        feat = ",".join(fmt_float(v) for v in manifest.features[i])
-        lines.append(
-            '{"caption_id":%d,"class_id":%d,"prompt_seed":%d,"latent_seed":%d,'
-            '"guidance_scale":%s,"feature":[%s]}'
-            % (
-                int(manifest.caption_ids[i]),
-                int(manifest.class_ids[i]),
-                int(manifest.prompt_seeds[i]),
-                int(manifest.latent_seeds[i]),
-                fmt_float(manifest.guidance_scales[i]),
-                feat,
-            )
-        )
+    header = canonical_json(
+        {
+            "kind": _KIND,
+            "version": _VERSION,
+            "config": manifest.config.to_dict(),
+            "master_seed": int(manifest.master_seed),
+            "config_hash": config_hash(manifest.config, manifest.master_seed),
+            "content_hash": manifest.hash(),
+            "num_samples": manifest.num_samples,
+            "sampler": manifest.sampler,
+        }
+    )
+    # one %-format per row; every float is written as fmt_float writes it
+    row = (
+        '{"caption_id":%d,"class_id":%d,"prompt_seed":%d,"latent_seed":%d,'
+        '"guidance_scale":%.17g,"feature":['
+        + ",".join(["%.17g"] * manifest.features.shape[1])
+        + "]}\n"
+    )
+    names = ("caption_ids", "class_ids", "prompt_seeds", "latent_seeds", "guidance_scales")
+    columns = zip(*(getattr(manifest, name).tolist() for name in names))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(row % (*cols, *x.tolist()) for cols, x in zip(columns, manifest.features))
 
 
 def _read_text(path: str, parse: str = "lines", what: str = "the file"):
@@ -248,6 +247,7 @@ def read_manifest(path: str) -> DatasetManifest:
     n = _read_field(header, "num_samples", _of_type(int), path)
     master_seed = _read_field(header, "master_seed", _of_type(int), path)
     content_hash = _read_field(header, "content_hash", str, path)
+    sampler = _read_field(header, "sampler", _sampler, path)
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
 
@@ -286,7 +286,7 @@ def read_manifest(path: str) -> DatasetManifest:
         latent_seeds=columns["latent_seed"],
         guidance_scales=columns["guidance_scale"],
         features=features,
-        sampler=header.get("sampler", "ddim"),
+        sampler=sampler,
     )
     if header.get("config_hash") != config_hash(cfg, master_seed):
         raise ValueError(f"{path}: config hash mismatch")

@@ -617,9 +617,10 @@ def test_integer_for_a_float_key_is_reported_as_a_float(workdir, generated, tmp_
 
 
 def test_integer_guidance_scale_writes_the_manifest_of_its_float(workdir, tmp_path):
-    # GeneratorConfig.guidance_scale is a float: 4 and 4.0 are one config
+    # GeneratorConfig.guidance_scale is a float: 4 and 4.0 are one config,
+    # and the provenance hashes it as one
     root, cfg = workdir
-    manifests = []
+    outputs = []
     for value in ("4", "4.0"):
         out = str(tmp_path / value)
         code = main(
@@ -627,8 +628,28 @@ def test_integer_guidance_scale_writes_the_manifest_of_its_float(workdir, tmp_pa
              "--set", f"generator.guidance_scale={value}", "--out", out]
         )
         assert code == 0
-        manifests.append(_sha256_of(os.path.join(out, "manifest.jsonl")))
-    assert manifests[0] == manifests[1]
+        outputs.append([_sha256_of(os.path.join(out, name))
+                        for name in ("manifest.jsonl", "provenance.json")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command,key,values",
+    [("generate", "data.guidance_scales", ("[2,4]", "[2.0,4.0]")),
+     ("train", "train.grad_clip", ("1", "1.0"))],
+)
+def test_integers_in_a_float_list_or_nullable_float_key_hash_as_floats(
+    workdir, generated, tmp_path, command, key, values
+):
+    root, cfg = workdir
+    data = [] if command == "generate" else ["--data", os.path.join(generated, "manifest.jsonl")]
+    provenance = []
+    for i, value in enumerate(values):
+        out = str(tmp_path / str(i))
+        argv = [command, "--config", cfg, "--seed", "5", *data, "--set", f"{key}={value}"]
+        assert main(argv + ["--out", out]) == 0
+        provenance.append(_sha256_of(os.path.join(out, "provenance.json")))
+    assert provenance[0] == provenance[1]
 
 
 def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, tmp_path):

@@ -210,6 +210,38 @@ def test_epsilon_uncond_equidistant_cancels_center_pull():
     assert cosine == pytest.approx(1.0, abs=1e-10)
 
 
+def long_double_mixture_eps(z, centers, var, alpha, sigma):
+    """The mixture prediction by the (rows, K, d) formula, in np.longdouble:
+    responsibilities from the squared distances to the scaled centers, then
+    the responsibility-weighted per-component posterior means."""
+    z, centers, var, alpha, sigma = (np.asarray(v, dtype=np.longdouble)
+                                     for v in (z, centers, var, alpha, sigma))
+    total = alpha**2 * var + sigma**2
+    diff = z[..., None, :] - alpha * centers
+    logits = -0.5 * np.sum(diff * diff, axis=-1) / total
+    resp = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    resp /= np.sum(resp, axis=-1, keepdims=True)
+    m = np.sum(resp[..., None] * (centers + (alpha * var / total) * diff), axis=-2)
+    return (z - alpha * m) / sigma
+
+
+def test_epsilon_uncond_matches_a_long_double_reference():
+    # |z| from 0.1 to about 1e3; the error is taken per row, relative to the
+    # row's largest entry. At the last level sigma = 1e-4 turns the
+    # reference's own rounding in z - alpha * m into about 1e-11 (and a
+    # float64 evaluation of that formula errs by 2-6e-8).
+    cfg = small_cfg(num_classes=5, ddim_steps=50)
+    centers = np.stack([class_center(k, cfg) for k in range(cfg.num_classes)])
+    var = cfg.conditional_std**2 + cfg.caption_offset_scale**2
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((200, 6)) * np.logspace(-1, 3, 200)[:, None]
+    for k, bound in ((0, 1e-14), (25, 1e-14), (49, 1e-7)):
+        alpha, sigma = cfg.schedule.alphas[k], cfg.schedule.sigmas[k]
+        ref = long_double_mixture_eps(z, centers, var, alpha, sigma)
+        err = np.max(np.abs(epsilon_uncond(z, k, cfg) - ref), axis=1)
+        assert np.max(err / np.max(np.abs(ref), axis=1)) < bound, k
+
+
 def one_step_row(man, row, prompt, cfg, eps_of):
     """A row of a ddim_steps=1 dataset rebuilt from its latent: the sampler
     returns x_hat = (z - sigma * eps) / alpha for eps = eps_of(z)."""
@@ -259,13 +291,14 @@ def test_ddim_point_mass_limit():
 
 def test_generate_dataset_batched_matches_single():
     # rows are independent: generating a subset of the captions, alone or in
-    # another order, reproduces the full run's rows bit for bit
+    # another order, reproduces the full run's rows bit for bit. 30 captions x
+    # 5 images put 150 rows through each step's one mixture evaluation.
     cfg = small_cfg(guidance_scale=2.0)
-    prompts = [prompt_from_text(i, f"caption number {i}", 3) for i in range(4)]
-    subsets = [[p] for p in prompts] + [[prompts[3], prompts[1]]]
+    prompts = [prompt_from_text(i, f"caption number {i}", 3) for i in range(30)]
+    subsets = [[p] for p in prompts[:4]] + [[prompts[3], prompts[1]], prompts[:0:-1]]
     for kw in ({}, {"guidance_scales": [1.0, 2.5, 7.0]}):  # mixed w includes w=1 rows
         full = generate_dataset(prompts, 5, cfg, seed=11, **kw)
-        assert full.features.shape == (20, 6)
+        assert full.features.shape == (150, 6)
         for subset in subsets:
             part = generate_dataset(subset, 5, cfg, seed=11, **kw)
             rows = np.concatenate([full.rows_for_caption(p.caption_id) for p in subset])
@@ -276,12 +309,13 @@ def test_generate_dataset_batched_matches_single():
 
 # sha256 over features, latent_seeds and guidance_scales of a 6-caption x 4-image
 # dataset (d=32, K=10, 10 DDIM steps, seed 17). Recorded with numpy 2.4 on
-# x86-64; a numpy build whose exp() rounds differently would need new values.
+# x86-64; a numpy build whose exp() rounds differently, or (for w != 1) whose
+# matmul kernel does, would need new values.
 GOLDEN_BITS = {
     "w1": "dd3496fed483ab441164492c7de71f2e606f40b37a47104eb7222eebb448bcf1",
-    "w4": "2b13d308cb3cdce6fc719d842fa9aafdc13cbb9af51b9838b32d3cd97a35781f",
-    "mixed": "479270d30635420bc7989c0d8e78d197256e2752fe6a25821740ae38cc2fbc93",
-    "mixed_with_w1": "bd6f03cd8cd0cc7074d4700765cd0c354f32afb5b0e3fa752147d5ebd0b601b8",
+    "w4": "15c830a32f9062675bded2ac40842a6d7aec94d78ce6cc2a3a44b8f060825d3f",
+    "mixed": "09a9f7c1ae40563f4d87641a7fb66cfcf21a8636614ede4874320757d2fbc07b",
+    "mixed_with_w1": "655fc6a80aaed41390ebcf3738f5b8842437be1dbe69c9b7e8c2e5a9670af476",
     "direct": "609d6da5cfc0aa4949bac5695368c677c59d55fd1ff7adec19d2cbac05ccf3db",
 }
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def test_read_names_missing_or_mistyped_fields(tmp_path):
         rejects(header, [edited] + lines[2:], field)
         dropped = json.dumps({k: v for k, v in rec.items() if k != field})
         rejects(header, [dropped] + lines[2:], field)
+
+
+@pytest.mark.parametrize("sampler", ["foo", 7, None])  # None: the field is missing
+def test_read_names_the_file_for_a_bad_or_missing_sampler(tmp_path, sampler):
+    p = tmp_path / "m.jsonl"
+    write_manifest(make_manifest(), str(p))
+    lines = p.read_text().splitlines()
+    header = {k: v for k, v in json.loads(lines[0]).items() if k != "sampler"}
+    if sampler is not None:
+        header["sampler"] = sampler
+    p.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: header .*'sampler'"):
+        read_manifest(str(p))
+
+
+def test_write_matches_rows_built_with_fmt_float(tmp_path):
+    man = make_manifest()
+    man.features[0, :4] = [-0.0, 5e-324, 4.0, 1e300]
+    man.prompt_seeds[:] = 2**63
+    man.latent_seeds[1] = 2**64 - 1
+    p = tmp_path / "m.jsonl"
+    write_manifest(man, str(p))
+    rows = p.read_text().splitlines()[1:]
+    assert len(rows) == man.num_samples
+    for i, line in enumerate(rows):
+        feature = ",".join(fmt_float(v) for v in man.features[i])
+        assert line == (
+            '{"caption_id":%d,"class_id":%d,"prompt_seed":%d,"latent_seed":%d,'
+            '"guidance_scale":%s,"feature":[%s]}'
+            % (int(man.caption_ids[i]), int(man.class_ids[i]), int(man.prompt_seeds[i]),
+               int(man.latent_seeds[i]), fmt_float(man.guidance_scales[i]), feature)
+        )
+    assert '"feature":[-0,4.9406564584124654e-324,4,1.0000000000000001e+300,' in rows[0]
+    assert '"latent_seed":18446744073709551615,' in rows[1]
 
 
 def test_manifest_validation_rejects_bad_shapes():
