@@ -1,11 +1,13 @@
 """Command-line pipeline: generate, train, probe, fewshot, sweep, report.
 
-Every run resolves a JSON config (the config dataclasses' defaults < --config
-file < --set overrides, merged alike), derives all randomness from one master
-seed (--seed flag, SYNTHREP_SEED environment variable, or config "seed"),
-stages its artifacts in a temporary directory, and renames it into place on
-success. Reruns with identical config and seed produce byte-identical files.
-Failures print a single JSON error record to stderr and exit nonzero.
+`main` is the one frame of every command. It resolves a JSON config (the
+config dataclasses' defaults < --config file < --set overrides, merged
+alike) and one master seed (--seed flag, SYNTHREP_SEED environment variable,
+or config "seed") from which all randomness derives, stages the artifacts in
+a temporary directory, writes provenance.json, and renames the directory into
+place on success; `report`, which renders saved reports, takes no config.
+Reruns with identical config and seed produce byte-identical files. Failures
+print a single JSON error record to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .seeding import derive_u64
 from .train import (
     _TEXT_VARIANTS,
     TrainConfig,
+    _accounting_error,
     load_checkpoint,
     run_training,
     sub_params,
@@ -300,20 +303,17 @@ def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
 # -- shared pipeline pieces -------------------------------------------------------
 
 
-def _caption_records(data_cfg: dict, num_classes: int, seed: int):
-    """Captions from a file (deduplicated) or synthesized deterministically."""
-    if data_cfg["captions_file"]:
-        records = dedup_captions(load_captions(data_cfg["captions_file"], num_classes))
-        if not records:
-            raise CliError("caption file contained no usable captions")
-        return records
-    return synth_captions(data_cfg["num_captions"], num_classes, seed)
-
-
-def _build_manifest(cfg: dict, seed: int, sampler_override: str | None = None):
+def _build_manifest(cfg: dict, seed: int):
+    """(manifest, caption records) of the generator and data sections; the
+    captions come from data.captions_file (deduplicated) or are synthesized."""
     gcfg = GeneratorConfig.from_dict(cfg["generator"])
     data = cfg["data"]
-    records = _caption_records(data, gcfg.num_classes, derive_u64(seed, 10))
+    if data["captions_file"]:
+        records = dedup_captions(load_captions(data["captions_file"], gcfg.num_classes))
+        if not records:
+            raise CliError("caption file contained no usable captions")
+    else:
+        records = synth_captions(data["num_captions"], gcfg.num_classes, derive_u64(seed, 10))
     scales = data["guidance_scales"]
     if isinstance(scales, str):
         if scales not in GUIDANCE_GROUPS:
@@ -327,7 +327,7 @@ def _build_manifest(cfg: dict, seed: int, sampler_override: str | None = None):
         gcfg,
         derive_u64(seed, 11),
         guidance_scales=scales,
-        sampler=sampler_override or data["sampler"],
+        sampler=data["sampler"],
     )
     return manifest, records
 
@@ -373,43 +373,37 @@ def _features_from(manifest_path: str, encoder):
 
 
 # -- subcommands ------------------------------------------------------------------
+#
+# `main` calls a command's body as body(ns, staging, cfg, seed, config_hash)
+# inside the staging block, after writing provenance.json, and prints the
+# summary line the body returns. `report` gets None for the last three.
 
 
-def _cmd_generate(ns: argparse.Namespace) -> int:
-    cfg = _resolve_config(ns)
-    seed = _resolve_seed(ns, cfg)
-    with _Staging(ns.out, ns.force) as staging:
-        manifest, records = _build_manifest(cfg, seed)
-        write_manifest(manifest, staging.path("manifest.jsonl"))
-        with open(staging.path("captions.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                fh.write(rec.text + "\n")
-        _write_provenance(staging.path("provenance.json"), "generate", cfg, seed)
-    print(f"wrote {manifest.num_samples} samples to {staging.final}/manifest.jsonl")
-    return 0
+def _cmd_generate(ns, staging: _Staging, cfg: dict, seed: int, _hash) -> str:
+    manifest, records = _build_manifest(cfg, seed)
+    write_manifest(manifest, staging.path("manifest.jsonl"))
+    with open(staging.path("captions.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        for rec in records:
+            fh.write(rec.text + "\n")
+    return f"wrote {manifest.num_samples} samples to {staging.final}/manifest.jsonl"
 
 
-def _cmd_train(ns: argparse.Namespace) -> int:
-    cfg = _resolve_config(ns)
-    seed = _resolve_seed(ns, cfg)
+def _cmd_train(ns, staging: _Staging, cfg: dict, seed: int, _hash) -> str:
     if ns.checkpoint_every < 0:
         raise CliError(f"--checkpoint-every must be >= 0, got {ns.checkpoint_every}")
     manifest = read_manifest(ns.data)
     tcfg = _train_config(cfg, manifest.config.feature_dim, seed)
-    with _Staging(ns.out, ns.force) as staging:
-        ts, metrics = run_training(
-            manifest,
-            tcfg,
-            out_dir=staging.tmp,
-            checkpoint_every=ns.checkpoint_every,
-            resume_from=ns.resume,
-        )
-        _write_provenance(staging.path("provenance.json"), "train", cfg, seed)
-    print(
+    ts, metrics = run_training(
+        manifest,
+        tcfg,
+        out_dir=staging.tmp,
+        checkpoint_every=ns.checkpoint_every,
+        resume_from=ns.resume,
+    )
+    return (
         f"trained {ts.step} steps ({tcfg.loss_variant}), final loss "
         f"{metrics[-1]['loss']:.4f}, artifacts in {staging.final}"
     )
-    return 0
 
 
 # the config class of each evaluation section and the salt of its seed
@@ -423,87 +417,68 @@ def _eval_config(cfg: dict, name: str, seed: int):
     return cls(**cfg[name], seed=derive_u64(seed, salt))
 
 
-def _check_inputs(ns: argparse.Namespace, features: tuple, manifests: tuple) -> None:
-    """Refuse input flags of which one would go unread. Feature files come
-    all together, and with no manifest or --checkpoint, since they are
-    already encoded; without them, every manifest flag is needed."""
+def _evaluate(ns, staging: _Staging, cfg_hash: str, features: tuple, manifests: tuple, score):
+    """Read the inputs of probe or fewshot, score them, and write report.json
+    (with the config hash) and report.csv; returns the EvalReport.
+
+    The inputs are the feature files of the `features` flags, or else the
+    manifests of the `manifests` flags, encoded by --checkpoint when it is
+    given; `score` takes one (features, class ids) pair per flag. A flag
+    that would go unread is refused: feature files come all together and
+    with no manifest or --checkpoint, since they are already encoded;
+    without them, every manifest flag is needed. The report's dataset_id is
+    the first manifest's content hash and its checkpoint_id the sha256 of
+    the checkpoint, both empty for what they did not score."""
 
     def flag(name: str) -> str:
         return "--" + name.replace("_", "-")
 
-    if any(getattr(ns, name) for name in features):
-        if not all(getattr(ns, name) for name in features):
+    feature_files = [getattr(ns, name) for name in features]
+    if any(feature_files):
+        if not all(feature_files):
             raise CliError(" and ".join(map(flag, features)) + " must be given together")
         unread = [flag(name) for name in (*manifests, "checkpoint") if getattr(ns, name)]
         if unread:
             raise CliError(f"{unread[0]} goes with manifests, not with feature files")
-    elif not all(getattr(ns, name) for name in manifests):
-        needs = " and ".join(map(flag, manifests))
-        raise CliError(f"{ns.command} needs {needs}, or feature files")
-
-
-def _probe_report(ns: argparse.Namespace, cfg: dict, seed: int) -> EvalReport:
-    if ns.train_features:
-        _, train_y, train_x = load_features(ns.train_features)
-        _, test_y, test_x = load_features(ns.test_features)
+        inputs = [(x, y) for _, y, x in map(load_features, feature_files)]
         dataset_id = checkpoint_id = ""
     else:
+        if not all(getattr(ns, name) for name in manifests):
+            needs = " and ".join(map(flag, manifests))
+            raise CliError(f"{ns.command} needs {needs}, or feature files")
         encoder, checkpoint_id = _encoder_from_checkpoint(ns.checkpoint)
-        train_x, train_y, train_hash = _features_from(ns.data, encoder)
-        test_x, test_y, _ = _features_from(ns.eval_data, encoder)
-        dataset_id = train_hash
-    report = linear_probe(train_x, train_y, test_x, test_y, _eval_config(cfg, "probe", seed))
+        encoded = [_features_from(getattr(ns, name), encoder) for name in manifests]
+        inputs = [(x, y) for x, y, _ in encoded]
+        dataset_id = encoded[0][2]
+    report = score(*inputs)
     report.dataset_id = dataset_id
     report.checkpoint_id = checkpoint_id
+    _write_json(staging.path("report.json"), dict(report.to_dict(), config_hash=cfg_hash))
+    emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
     return report
 
 
-def _write_report(
-    staging: _Staging, command: str, cfg: dict, seed: int, report: EvalReport
-) -> None:
-    """provenance.json, then report.json with the config hash, then report.csv."""
-    cfg_hash = _write_provenance(staging.path("provenance.json"), command, cfg, seed)
-    payload = report.to_dict()
-    payload["config_hash"] = cfg_hash
-    _write_json(staging.path("report.json"), payload)
-    emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
-
-
-def _cmd_probe(ns: argparse.Namespace) -> int:
-    cfg = _resolve_config(ns)
-    seed = _resolve_seed(ns, cfg)
-    _check_inputs(ns, ("train_features", "test_features"), ("data", "eval_data"))
-    with _Staging(ns.out, ns.force) as staging:
-        report = _probe_report(ns, cfg, seed)
-        _write_report(staging, "probe", cfg, seed, report)
-    print(
+def _cmd_probe(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> str:
+    probe = _eval_config(cfg, "probe", seed)
+    report = _evaluate(
+        ns, staging, cfg_hash, ("train_features", "test_features"), ("data", "eval_data"),
+        lambda train, test: linear_probe(*train, *test, probe),
+    )
+    return (
         f"linear probe accuracy {report.accuracy:.4f} +- {report.ci95:.4f} "
         f"(lambda {report.details['selected_lambda']:.3g}), report in {staging.final}"
     )
-    return 0
 
 
-def _cmd_fewshot(ns: argparse.Namespace) -> int:
-    cfg = _resolve_config(ns)
-    seed = _resolve_seed(ns, cfg)
+def _cmd_fewshot(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> str:
     spec = _eval_config(cfg, "fewshot", seed)
-    _check_inputs(ns, ("features",), ("data",))
-    with _Staging(ns.out, ns.force) as staging:
-        if ns.features:
-            _, labels, feats = load_features(ns.features)
-            dataset_id = checkpoint_id = ""
-        else:
-            encoder, checkpoint_id = _encoder_from_checkpoint(ns.checkpoint)
-            feats, labels, dataset_id = _features_from(ns.data, encoder)
-        report = fewshot_eval(feats, labels, spec)
-        report.dataset_id = dataset_id
-        report.checkpoint_id = checkpoint_id
-        _write_report(staging, "fewshot", cfg, seed, report)
-    print(
+    report = _evaluate(
+        ns, staging, cfg_hash, ("features",), ("data",), lambda data: fewshot_eval(*data, spec)
+    )
+    return (
         f"{spec.ways}-way {spec.shots}-shot accuracy {report.accuracy:.4f} "
         f"+- {report.ci95:.4f} over {spec.episodes} episodes, report in {staging.final}"
     )
-    return 0
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -511,8 +486,15 @@ def _cmd_fewshot(ns: argparse.Namespace) -> int:
 
 def _sweep_eval_split(cfg: dict, seed: int):
     """Held-out direct-sampled data, shared by every sweep point."""
-    gcfg = GeneratorConfig.from_dict(cfg["generator"])
     ed = cfg["eval_data"]
+    for key in ("num_captions", "samples_per_caption"):
+        if ed[key] < 1:
+            raise CliError(f"config key 'eval_data.{key}' must be >= 1, got {ed[key]}")
+    if not 0 < ed["train_fraction"] < 1:
+        raise CliError(
+            f"config key 'eval_data.train_fraction' must lie in (0, 1), got {ed['train_fraction']}"
+        )
+    gcfg = GeneratorConfig.from_dict(cfg["generator"])
     records = synth_captions(ed["num_captions"], gcfg.num_classes, derive_u64(seed, 20))
     manifest = generate_dataset(
         [r.prompt for r in records],
@@ -521,9 +503,8 @@ def _sweep_eval_split(cfg: dict, seed: int):
         derive_u64(seed, 21),
         sampler="direct",
     )
-    train_frac = float(ed["train_fraction"])
     train_rows, test_rows = stratified_split(
-        manifest.class_ids, 1.0 - train_frac, derive_u64(seed, 22)
+        manifest.class_ids, 1.0 - ed["train_fraction"], derive_u64(seed, 22)
     )
     return manifest, train_rows, test_rows
 
@@ -561,91 +542,74 @@ def _sweep_point(axis: str, raw_value: str, cfg: dict):
         budget = split_budget(total, value)
         cell["data"]["num_captions"] = budget.num_captions
         cell["data"]["images_per_caption"] = value
-        m = _set_positives(
-            cell["train"], min(int(cell["train"]["batch_spec"]["samples_per_caption"]), value)
-        )
+        batch = cell["train"]["batch_spec"]
+        m = _set_positives(cell["train"], min(int(batch["samples_per_caption"]), value))
         # resizing the caption pool can break batch divisibility; shrink n to fit
-        n = int(cell["train"]["batch_spec"]["num_captions"])
-        epochs = int(cell["train"]["epochs"])
-        while n > 2 and (
-            budget.num_captions % n != 0 or (2 * epochs * budget.num_captions) % (n * m) != 0
-        ):
+        n, epochs = int(batch["num_captions"]), int(cell["train"]["epochs"])
+        while n > 2 and _accounting_error(budget.num_captions, n, m, epochs):
             n -= 1
-        cell["train"]["batch_spec"]["num_captions"] = n
+        batch["num_captions"] = n
     else:
         cell["train"]["epochs"] = value
     return cell, float(value)
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = _resolve_config(ns)
-    seed = _resolve_seed(ns, cfg)
+# the file suffix of each report format
+_SUFFIXES = {"csv": "csv", "table": "txt", "svg": "svg"}
+
+
+def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> str:
     values = [v.strip() for v in ns.values.split(",") if v.strip()]
     if not values:
         raise CliError("--values must list at least one value")
     cells = [_sweep_point(ns.axis, raw, cfg) for raw in values]
+    eval_manifest, eval_train_rows, eval_test_rows = _sweep_eval_split(cfg, seed)
+    # axes that leave the dataset unchanged share one manifest
+    shared_manifest = None
+    if ns.axis in ("m", "epochs"):
+        shared_manifest, _ = _build_manifest(cfg, seed)
+        write_manifest(shared_manifest, staging.path("dataset", "manifest.jsonl"))
 
-    with _Staging(ns.out, ns.force) as staging:
-        eval_manifest, eval_train_rows, eval_test_rows = _sweep_eval_split(cfg, seed)
-        # axes that leave the dataset unchanged share one manifest
-        shared_manifest = None
-        if ns.axis in ("m", "epochs"):
-            shared_manifest, _ = _build_manifest(cfg, seed)
-            write_manifest(shared_manifest, staging.path("dataset", "manifest.jsonl"))
+    reports = []
+    for raw, (cell, _) in zip(values, cells):
+        label = f"{ns.axis}_{raw}"
+        if shared_manifest is not None:
+            manifest = shared_manifest
+        else:
+            manifest, _ = _build_manifest(cell, seed)
+            write_manifest(manifest, staging.path(label, "manifest.jsonl"))
 
-        reports, numerics = [], []
-        for raw, (cell, numeric) in zip(values, cells):
-            label = f"{ns.axis}_{raw}"
-            if shared_manifest is not None:
-                manifest = shared_manifest
-            else:
-                manifest, _ = _build_manifest(cell, seed)
-                write_manifest(manifest, staging.path(label, "manifest.jsonl"))
+        tcfg = _train_config(cell, manifest.config.feature_dim, seed)
+        run_dir = staging.path(label, "train")
+        os.makedirs(run_dir, exist_ok=True)
+        digest = hashlib.sha256()
+        ts, _ = run_training(manifest, tcfg, out_dir=run_dir, digest=digest)
 
-            tcfg = _train_config(cell, manifest.config.feature_dim, seed)
-            run_dir = staging.path(label, "train")
-            os.makedirs(run_dir, exist_ok=True)
-            digest = hashlib.sha256()
-            ts, _ = run_training(manifest, tcfg, out_dir=run_dir, digest=digest)
-
-            feats = encode_dataset(
-                eval_manifest, Encoder(tcfg.encoder), sub_params(ts.params, "img.")
-            )
-            report = linear_probe(
-                feats[eval_train_rows],
-                eval_manifest.class_ids[eval_train_rows],
-                feats[eval_test_rows],
-                eval_manifest.class_ids[eval_test_rows],
-                _eval_config(cell, "probe", seed),
-            )
-            report.dataset_id = manifest.hash()
-            report.checkpoint_id = digest.hexdigest()
-            payload = report.to_dict()
-            payload["axis"] = ns.axis
-            payload["value"] = raw
-            _write_json(staging.path(label, "report.json"), payload)
-            reports.append(report)
-            numerics.append(numeric)
-
-        cfg_hash = _write_provenance(staging.path("provenance.json"), "sweep", cfg, seed)
-        axis_vals = [n if n is not None else "" for n in numerics]
-        emit_report(
-            reports, "csv", staging.path("summary.csv"),
-            axis_name=ns.axis, axis_values=axis_vals, meta_comment=cfg_hash,
+        feats = encode_dataset(eval_manifest, Encoder(tcfg.encoder), sub_params(ts.params, "img."))
+        report = linear_probe(
+            feats[eval_train_rows],
+            eval_manifest.class_ids[eval_train_rows],
+            feats[eval_test_rows],
+            eval_manifest.class_ids[eval_test_rows],
+            _eval_config(cell, "probe", seed),
         )
+        report.dataset_id = manifest.hash()
+        report.checkpoint_id = digest.hexdigest()
+        payload = dict(report.to_dict(), axis=ns.axis, value=raw)
+        _write_json(staging.path(label, "report.json"), payload)
+        reports.append(report)
+
+    # a named guidance group has no numeric axis value, so no plot
+    numerics = [numeric for _, numeric in cells]
+    axis_values = ["" if v is None else v for v in numerics]
+    for fmt in ("csv", "table") if None in numerics else ("csv", "table", "svg"):
         emit_report(
-            reports, "table", staging.path("summary.txt"),
-            axis_name=ns.axis, axis_values=axis_vals, meta_comment=cfg_hash,
+            reports, fmt, staging.path(f"summary.{_SUFFIXES[fmt]}"),
+            axis_name=ns.axis, axis_values=axis_values,
+            title=f"linear probe vs {ns.axis}", meta_comment=cfg_hash,
         )
-        if all(n is not None for n in numerics):
-            emit_report(
-                reports, "svg", staging.path("summary.svg"),
-                axis_name=ns.axis, axis_values=numerics,
-                title=f"linear probe vs {ns.axis}", meta_comment=cfg_hash,
-            )
     accs = ", ".join(f"{v}:{r.accuracy:.4f}" for v, r in zip(values, reports))
-    print(f"sweep over {ns.axis} done ({accs}), summary in {staging.final}")
-    return 0
+    return f"sweep over {ns.axis} done ({accs}), summary in {staging.final}"
 
 
 def _read_report(path: str) -> tuple[EvalReport, object]:
@@ -674,49 +638,26 @@ def _read_report(path: str) -> tuple[EvalReport, object]:
     return report, payload.get("value", "")
 
 
-def _cmd_report(ns: argparse.Namespace) -> int:
+def _cmd_report(ns, staging: _Staging, *_) -> str:
     paths = [p.strip() for p in ns.inputs.split(",") if p.strip()]
     if not paths:
         raise CliError("--inputs must list report JSON files")
-    reports, values = [], []
-    for p in paths:
-        report, value = _read_report(p)
-        reports.append(report)
-        values.append(value)
-    axis_values = values
+    reports, values = (list(column) for column in zip(*map(_read_report, paths)))
     if ns.values:
-        axis_values = [v.strip() for v in ns.values.split(",")]
-        if len(axis_values) != len(reports):
+        values = [v.strip() for v in ns.values.split(",")]
+        if len(values) != len(reports):
             raise CliError("--values must match the number of inputs")
-    with _Staging(ns.out, ns.force) as staging:
-        cfg_hash = json_digest({"inputs": paths, "axis": ns.axis or ""})
-        name = {"csv": "report.csv", "table": "report.txt", "svg": "report.svg"}[ns.format]
-        emit_report(
-            reports, ns.format, staging.path(name),
-            axis_name=ns.axis, axis_values=axis_values,
-            title=ns.title, meta_comment=cfg_hash,
-        )
-        _write_json(
-            staging.path("provenance.json"), {"command": "report", "config_hash": cfg_hash}
-        )
-    print(f"rendered {len(reports)} report(s) to {staging.final}/{name}")
-    return 0
+    cfg_hash = json_digest({"inputs": paths, "axis": ns.axis or ""})
+    name = f"report.{_SUFFIXES[ns.format]}"
+    emit_report(
+        reports, ns.format, staging.path(name),
+        axis_name=ns.axis, axis_values=values, title=ns.title, meta_comment=cfg_hash,
+    )
+    _write_json(staging.path("provenance.json"), {"command": "report", "config_hash": cfg_hash})
+    return f"rendered {len(reports)} report(s) to {staging.final}/{name}"
 
 
 # -- argument parsing ----------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file merged over defaults")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="dotted config override, e.g. generator.guidance_scale=4 (repeatable)",
-    )
-    p.add_argument("--seed", type=int, help=f"master seed (or set {SEED_ENV_VAR})")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--force", action="store_true", help="replace an existing output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -726,64 +667,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="sample a synthetic dataset manifest")
-    _add_common(p)
-    p.set_defaults(func=_cmd_generate)
+    def command(name: str, func, help: str, configured: bool = True):
+        p = sub.add_parser(name, help=help)
+        if configured:
+            p.add_argument("--config", help="JSON config file merged over defaults")
+            p.add_argument(
+                "--set",
+                action="append",
+                metavar="KEY=VALUE",
+                help="dotted config override, e.g. generator.guidance_scale=4 (repeatable)",
+            )
+            p.add_argument("--seed", type=int, help=f"master seed (or set {SEED_ENV_VAR})")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--force", action="store_true", help="replace an existing output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="pretrain an encoder on a manifest")
-    _add_common(p)
+    command("generate", _cmd_generate, "sample a synthetic dataset manifest")
+
+    p = command("train", _cmd_train, "pretrain an encoder on a manifest")
     p.add_argument("--data", required=True, help="training manifest path")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="STEPS")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("probe", help="linear-probe a frozen encoder")
-    _add_common(p)
+    p = command("probe", _cmd_probe, "linear-probe a frozen encoder")
     p.add_argument("--data", help="training manifest (probe fit data)")
     p.add_argument("--eval-data", help="held-out manifest (probe test data)")
     p.add_argument("--checkpoint", help="encoder checkpoint; omit to probe raw features")
     p.add_argument("--train-features", help="feature file alternative to --data")
     p.add_argument("--test-features", help="feature file alternative to --eval-data")
-    p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("fewshot", help="episodic few-shot evaluation")
-    _add_common(p)
+    p = command("fewshot", _cmd_fewshot, "episodic few-shot evaluation")
     p.add_argument("--data", help="manifest to evaluate on")
     p.add_argument("--checkpoint", help="encoder checkpoint; omit to use raw features")
     p.add_argument("--features", help="feature file alternative to --data")
-    p.set_defaults(func=_cmd_fewshot)
 
-    p = sub.add_parser("sweep", help="grid over one axis: w, m, l, or epochs")
-    _add_common(p)
+    p = command("sweep", _cmd_sweep, "grid over one axis: w, m, l, or epochs")
     p.add_argument("--axis", required=True, choices=("w", "m", "l", "epochs"))
     p.add_argument(
         "--values",
         required=True,
         help="comma-separated values; axis w also accepts small/large/mixed",
     )
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("report", help="render saved reports as table, csv, or svg")
-    _add_common(p)
+    p = command(
+        "report", _cmd_report, "render saved reports as table, csv, or svg", configured=False
+    )
     p.add_argument("--inputs", required=True, help="comma-separated report.json paths")
     p.add_argument("--format", default="table", choices=("table", "csv", "svg"))
     p.add_argument("--axis", help="axis label for sweep rendering")
     p.add_argument("--values", help="comma-separated axis values (default: from inputs)")
     p.add_argument("--title", default="", help="plot title for svg output")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        cfg = seed = cfg_hash = None
+        if ns.command != "report":
+            cfg = _resolve_config(ns)
+            seed = _resolve_seed(ns, cfg)
+        with _Staging(ns.out, ns.force) as staging:
+            if cfg is not None:
+                cfg_hash = _write_provenance(
+                    staging.path("provenance.json"), ns.command, cfg, seed
+                )
+            summary = ns.func(ns, staging, cfg, seed, cfg_hash)
     except (CliError, ValueError, OSError, RuntimeError) as exc:
         record = {"error": str(exc), "command": ns.command}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

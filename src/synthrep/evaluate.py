@@ -324,6 +324,10 @@ def linear_probe(
         xt = (xt - mean) / std
 
     fit_rows, val_rows = stratified_split(y, cfg.val_fraction, cfg.seed)
+    if val_rows.size == 0:
+        raise ValueError(
+            "the probe's validation split is empty: every class has one training row"
+        )
     x_fit, y_fit = x[fit_rows], y[fit_rows]
     fits = [
         fit_logreg(x_fit, y_fit, k, REG_GRID[i : i + _PENALTY_BLOCK], cfg.max_iterations)
@@ -346,10 +350,7 @@ def linear_probe(
             "reg_grid_size": REG_GRID.size,
             "reg_grid_min": float(REG_GRID[0]),
             "reg_grid_max": float(REG_GRID[-1]),
-            "max_iterations": cfg.max_iterations,
-            "normalize_features": cfg.normalize_features,
-            "val_fraction": cfg.val_fraction,
-            "seed": cfg.seed,
+            **asdict(cfg),
         },
         details={
             "selected_lambda": best_lam,
@@ -409,14 +410,7 @@ def fewshot_eval(
         accuracy=mean,
         ci95=ci,
         count=spec.episodes,
-        config={
-            "ways": spec.ways,
-            "shots": spec.shots,
-            "queries_per_class": spec.queries_per_class,
-            "episodes": spec.episodes,
-            "reg_lambda": spec.reg_lambda,
-            "seed": spec.seed,
-        },
+        config=asdict(spec),
         details={"episode_std": float(np.std(accs))},
     )
 

@@ -241,6 +241,22 @@ def sub_params(d: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k[len(prefix) :]: v for k, v in d.items() if k.startswith(prefix)}
 
 
+def _accounting_error(num_captions: int, n: int, m: int, epochs: int) -> str:
+    """Why batches of n captions times m samples cannot train `epochs`
+    epochs over `num_captions` captions with exact compute accounting, or ""
+    if they can: n must divide the caption count, and n * m the image-forward
+    count 2 * epochs * num_captions."""
+    if num_captions % n != 0:
+        return f"batch num_captions {n} must divide the {num_captions} dataset captions"
+    forwards = 2 * epochs * num_captions
+    if forwards % (n * m) != 0:
+        return (
+            f"2*epochs*num_captions = {forwards} is not divisible by the batch image "
+            f"count {n * m}; adjust epochs or batch_spec for exact compute accounting"
+        )
+    return ""
+
+
 class Trainer:
     """Binds a manifest to a config and executes deterministic steps."""
 
@@ -259,18 +275,10 @@ class Trainer:
         n_caps = self.captions.size
         n = cfg.batch_spec.num_captions
         m = cfg.batch_spec.samples_per_caption
-        if n_caps % n != 0:
-            raise ValueError(
-                f"batch num_captions {n} must divide the {n_caps} dataset captions"
-            )
-        forwards_target = 2 * cfg.epochs * n_caps
-        if forwards_target % (n * m) != 0:
-            raise ValueError(
-                f"2*epochs*num_captions = {forwards_target} is not divisible by the "
-                f"batch image count {n * m}; adjust epochs or batch_spec for exact "
-                "compute accounting"
-            )
-        self.total_steps = forwards_target // (n * m)
+        problem = _accounting_error(n_caps, n, m, cfg.epochs)
+        if problem:
+            raise ValueError(problem)
+        self.total_steps = 2 * cfg.epochs * n_caps // (n * m)
         self.steps_per_pass = n_caps // n
         self.steps_per_epoch = self.total_steps / cfg.epochs
         # caption id -> its rows in manifest order (the argsort is stable)
@@ -478,22 +486,24 @@ def run_training(
     return ts, metrics
 
 
+# the fields of a metrics line, in order, each with the formatter of its value
+_METRIC_FIELDS = (
+    ("step", str),
+    ("epoch_equiv", fmt_float),
+    ("loss", fmt_float),
+    ("lr", fmt_float),
+    ("grad_norm", fmt_float),
+)
+
+
 def write_metrics(path: str, metrics: list[dict], header: dict | None = None) -> None:
     """Line-delimited metrics with exact float formatting."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header is not None:
             fh.write(canonical_json(header) + "\n")
         for rec in metrics:
-            fh.write(
-                '{"step":%d,"epoch_equiv":%s,"loss":%s,"lr":%s,"grad_norm":%s}\n'
-                % (
-                    rec["step"],
-                    fmt_float(rec["epoch_equiv"]),
-                    fmt_float(rec["loss"]),
-                    fmt_float(rec["lr"]),
-                    fmt_float(rec["grad_norm"]),
-                )
-            )
+            fields = ",".join(f'"{name}":{fmt(rec[name])}' for name, fmt in _METRIC_FIELDS)
+            fh.write("{" + fields + "}\n")
 
 
 # -- checkpoint container -------------------------------------------------------

@@ -723,7 +723,8 @@ def test_generate_and_report_load_no_scipy_submodule(workdir, tmp_path):
         "    assert main([*args, '--config', cfg, '--seed', '5']) == 0, args\n"
         "run('generate', '--out', 'data')\n"
         "run('sweep', '--axis', 'epochs', '--values', '1', '--out', 'sweep')\n"
-        "run('report', '--inputs', 'sweep/epochs_1/report.json', '--out', 'rendered')\n"
+        "assert main(['report', '--inputs', 'sweep/epochs_1/report.json',\n"
+        "             '--out', 'rendered']) == 0\n"
         + _LOADED_SCIPY
     )
     out = _fresh_stdout("-c", script, cfg, cwd=tmp_path)
@@ -901,6 +902,18 @@ def test_probe_feature_file_path(workdir, generated, eval_generated, tmp_path):
     assert main(["probe", "--config", cfg, "--out", out]) == 1
 
 
+def test_probe_with_an_empty_validation_split_is_json_error(capsys, tmp_path):
+    # with one row per class the probe has no row to select its penalty on
+    feats = str(tmp_path / "features.jsonl")
+    save_features(feats, np.arange(3), np.arange(3), np.eye(3))
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["probe", "--train-features", feats, "--test-features", feats, "--out", out])
+    assert code == 1
+    assert "validation split is empty" in _single_json_error(capsys, "probe")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["probe", "fewshot"])
 def test_checkpoint_with_feature_files_is_json_error(
     workdir, generated, trained, capsys, tmp_path, command
@@ -990,6 +1003,24 @@ def test_probe_bad_feature_record_is_json_error(
     error = _single_json_error(capsys, "probe")
     assert error.startswith(f"{bad}: line {man.num_samples + 1} ")
     assert message in error
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--config", "/nonexistent.json"], ["--set", "foo.bar=1"], ["--seed", "5"]]
+)
+def test_report_refuses_config_flags(capsys, tmp_path, flags):
+    # report renders saved reports and takes no config, so these would go unread
+    report = tmp_path / "report.json"
+    report.write_text(
+        json.dumps({"kind": "fewshot", "accuracy": 0.5, "ci95": 0.1, "count": 4})
+    )
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--inputs", str(report), "--out", out, *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -1186,6 +1217,36 @@ def test_sweep_value_of_the_wrong_kind_is_json_error(workdir, capsys, tmp_path, 
     assert code == 1
     error = _single_json_error(capsys, "sweep")
     assert error == f"sweep axis {axis!r} takes {kind}, got {value!r}"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("train_fraction", "1.5", "must lie in (0, 1), got 1.5"),
+        ("train_fraction", "1", "must lie in (0, 1), got 1.0"),
+        ("train_fraction", "0", "must lie in (0, 1), got 0.0"),
+        ("samples_per_caption", "0", "must be >= 1, got 0"),
+        ("num_captions", "0", "must be >= 1, got 0"),
+    ],
+)
+def test_sweep_eval_data_out_of_range_is_json_error(
+    workdir, capsys, monkeypatch, tmp_path, key, value, message
+):
+    root, cfg = workdir
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a sweep cell trained before eval_data was checked")
+
+    monkeypatch.setattr("synthrep.cli.run_training", no_training)
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["sweep", "--config", cfg, "--seed", "5", "--axis", "epochs", "--values", "1",
+         "--set", f"eval_data.{key}={value}", "--out", out]
+    )
+    assert code == 1
+    assert _single_json_error(capsys, "sweep") == f"config key 'eval_data.{key}' {message}"
     assert not os.path.exists(out)
 
 

@@ -284,6 +284,9 @@ def test_probe_input_validation():
         linear_probe(bad, y, x, y)
     with pytest.raises(ValueError):
         linear_probe(x, np.zeros_like(y), x, np.zeros_like(y))
+    # one training row per class leaves nothing to select the penalty on
+    with pytest.raises(ValueError, match="validation split is empty"):
+        linear_probe(np.eye(3), np.arange(3), np.eye(3), np.arange(3))
 
 
 def test_fewshot_separable_and_error_paths():

@@ -29,9 +29,9 @@ def test_fmt_float_round_trips_exactly():
     assert float(fmt_float(0.1)) == 0.1
 
 
-def test_write_read_round_trip_values():
+def test_write_read_round_trip_values(tmp_path):
     man = make_manifest()
-    path = "/tmp/manifest_roundtrip.jsonl"
+    path = str(tmp_path / "manifest.jsonl")
     write_manifest(man, path)
     back = read_manifest(path)
     np.testing.assert_array_equal(back.features, man.features)

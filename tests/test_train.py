@@ -206,10 +206,13 @@ def test_train_config_round_trip_and_hash():
 
 def test_trainer_divisibility_checks():
     man = toy_manifest(num_captions=8)
-    with pytest.raises(ValueError):
-        Trainer(man, tiny_cfg(batch_spec=BatchSpec(3, 2)))  # 3 does not divide 8
-    with pytest.raises(ValueError):
-        Trainer(man, tiny_cfg(batch_spec=BatchSpec(8, 3), epochs=1))  # 16*1 % 24 != 0
+    with pytest.raises(ValueError, match="^batch num_captions 3 must divide the 8 dataset"):
+        Trainer(man, tiny_cfg(batch_spec=BatchSpec(3, 2)))
+    with pytest.raises(
+        ValueError,
+        match=r"^2\*epochs\*num_captions = 16 is not divisible by the batch image count 24;",
+    ):
+        Trainer(man, tiny_cfg(batch_spec=BatchSpec(8, 3), epochs=1))
     with pytest.raises(ValueError):
         Trainer(
             man,
