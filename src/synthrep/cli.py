@@ -51,6 +51,7 @@ from .report import emit_report
 from .seeding import derive_u64
 from .train import (
     _TEXT_VARIANTS,
+    Trainer,
     TrainConfig,
     _accounting_error,
     load_checkpoint,
@@ -306,7 +307,7 @@ def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
 def _build_manifest(cfg: dict, seed: int):
     """(manifest, caption records) of the generator and data sections; the
     captions come from data.captions_file (deduplicated) or are synthesized."""
-    gcfg = GeneratorConfig.from_dict(cfg["generator"])
+    gcfg = GeneratorConfig(**cfg["generator"])
     data = cfg["data"]
     if data["captions_file"]:
         records = dedup_captions(load_captions(data["captions_file"], gcfg.num_classes))
@@ -453,7 +454,7 @@ def _evaluate(ns, staging: _Staging, cfg_hash: str, features: tuple, manifests: 
     report = score(*inputs)
     report.dataset_id = dataset_id
     report.checkpoint_id = checkpoint_id
-    _write_json(staging.path("report.json"), dict(report.to_dict(), config_hash=cfg_hash))
+    _write_json(staging.path("report.json"), dict(asdict(report), config_hash=cfg_hash))
     emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
     return report
 
@@ -494,7 +495,7 @@ def _sweep_eval_split(cfg: dict, seed: int):
         raise CliError(
             f"config key 'eval_data.train_fraction' must lie in (0, 1), got {ed['train_fraction']}"
         )
-    gcfg = GeneratorConfig.from_dict(cfg["generator"])
+    gcfg = GeneratorConfig(**cfg["generator"])
     records = synth_captions(ed["num_captions"], gcfg.num_classes, derive_u64(seed, 20))
     manifest = generate_dataset(
         [r.prompt for r in records],
@@ -518,40 +519,43 @@ def _set_positives(train: dict, m: int) -> int:
     return views
 
 
-def _sweep_point(axis: str, raw_value: str, cfg: dict):
-    """Resolve one sweep cell into (config, numeric axis value); the value is
-    None for a named guidance group."""
+def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
+    """Resolve one sweep cell into (config, numeric axis value, TrainConfig);
+    the value is "" for a named guidance group. A value that makes no valid
+    generator or train config fails here, before any cell trains."""
     cell = json.loads(json.dumps(cfg))
-    if axis == "w" and raw_value in GUIDANCE_GROUPS:
-        cell["data"]["guidance_scales"] = raw_value
-        return cell, None
-    if axis not in ("w", "m", "l", "epochs"):
-        raise CliError(f"unknown sweep axis {axis!r}")
+    group = axis == "w" and raw_value in GUIDANCE_GROUPS
     kind, what = (float, "a number") if axis == "w" else (int, "an integer")
     try:
-        value = kind(raw_value)
+        value = "" if group else kind(raw_value)
     except ValueError:
         raise CliError(f"sweep axis {axis!r} takes {what}, got {raw_value!r}") from None
-    if axis == "w":
-        cell["generator"]["guidance_scale"] = value
-        cell["data"]["guidance_scales"] = None
-    elif axis == "m":
-        _set_positives(cell["train"], value)
-    elif axis == "l":
-        total = int(cell["data"]["num_captions"]) * int(cell["data"]["images_per_caption"])
-        budget = split_budget(total, value)
-        cell["data"]["num_captions"] = budget.num_captions
-        cell["data"]["images_per_caption"] = value
-        batch = cell["train"]["batch_spec"]
-        m = _set_positives(cell["train"], min(int(batch["samples_per_caption"]), value))
-        # resizing the caption pool can break batch divisibility; shrink n to fit
-        n, epochs = int(batch["num_captions"]), int(cell["train"]["epochs"])
-        while n > 2 and _accounting_error(budget.num_captions, n, m, epochs):
-            n -= 1
-        batch["num_captions"] = n
-    else:
-        cell["train"]["epochs"] = value
-    return cell, float(value)
+    try:
+        if group:
+            cell["data"]["guidance_scales"] = raw_value
+        elif axis == "w":
+            cell["generator"]["guidance_scale"] = value
+            cell["data"]["guidance_scales"] = None
+        elif axis == "m":
+            _set_positives(cell["train"], value)
+        elif axis == "l":
+            total = int(cell["data"]["num_captions"]) * int(cell["data"]["images_per_caption"])
+            budget = split_budget(total, value)
+            cell["data"]["num_captions"] = budget.num_captions
+            cell["data"]["images_per_caption"] = value
+            batch = cell["train"]["batch_spec"]
+            m = _set_positives(cell["train"], min(int(batch["samples_per_caption"]), value))
+            # resizing the caption pool can break batch divisibility; shrink n to fit
+            n, epochs = int(batch["num_captions"]), int(cell["train"]["epochs"])
+            while n > 2 and _accounting_error(budget.num_captions, n, m, epochs):
+                n -= 1
+            batch["num_captions"] = n
+        elif axis == "epochs":
+            cell["train"]["epochs"] = value
+        tcfg = _train_config(cell, GeneratorConfig(**cell["generator"]).feature_dim, seed)
+    except (CliError, ValueError) as exc:
+        raise CliError(f"sweep axis {axis!r} value {raw_value!r}: {exc}") from None
+    return cell, value if group else float(value), tcfg
 
 
 # the file suffix of each report format
@@ -562,16 +566,22 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
     values = [v.strip() for v in ns.values.split(",") if v.strip()]
     if not values:
         raise CliError("--values must list at least one value")
-    cells = [_sweep_point(ns.axis, raw, cfg) for raw in values]
+    cells = [_sweep_point(ns.axis, raw, cfg, seed) for raw in values]
     eval_manifest, eval_train_rows, eval_test_rows = _sweep_eval_split(cfg, seed)
-    # axes that leave the dataset unchanged share one manifest
+    # axes that leave the dataset unchanged share one manifest, which every
+    # cell's batches must fit before the first cell trains
     shared_manifest = None
     if ns.axis in ("m", "epochs"):
         shared_manifest, _ = _build_manifest(cfg, seed)
+        for raw, (_, _, tcfg) in zip(values, cells):
+            try:
+                Trainer(shared_manifest, tcfg)  # checks the batches against the data
+            except ValueError as exc:
+                raise CliError(f"sweep axis {ns.axis!r} value {raw!r}: {exc}") from None
         write_manifest(shared_manifest, staging.path("dataset", "manifest.jsonl"))
 
     reports = []
-    for raw, (cell, _) in zip(values, cells):
+    for raw, (cell, _, tcfg) in zip(values, cells):
         label = f"{ns.axis}_{raw}"
         if shared_manifest is not None:
             manifest = shared_manifest
@@ -579,7 +589,6 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
             manifest, _ = _build_manifest(cell, seed)
             write_manifest(manifest, staging.path(label, "manifest.jsonl"))
 
-        tcfg = _train_config(cell, manifest.config.feature_dim, seed)
         run_dir = staging.path(label, "train")
         os.makedirs(run_dir, exist_ok=True)
         digest = hashlib.sha256()
@@ -595,14 +604,13 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
         )
         report.dataset_id = manifest.hash()
         report.checkpoint_id = digest.hexdigest()
-        payload = dict(report.to_dict(), axis=ns.axis, value=raw)
+        payload = dict(asdict(report), axis=ns.axis, value=raw)
         _write_json(staging.path(label, "report.json"), payload)
         reports.append(report)
 
     # a named guidance group has no numeric axis value, so no plot
-    numerics = [numeric for _, numeric in cells]
-    axis_values = ["" if v is None else v for v in numerics]
-    for fmt in ("csv", "table") if None in numerics else ("csv", "table", "svg"):
+    axis_values = [value for _, value, _ in cells]
+    for fmt in ("csv", "table") if "" in axis_values else ("csv", "table", "svg"):
         emit_report(
             reports, fmt, staging.path(f"summary.{_SUFFIXES[fmt]}"),
             axis_name=ns.axis, axis_values=axis_values,
@@ -612,8 +620,16 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
     return f"sweep over {ns.axis} done ({accs}), summary in {staging.final}"
 
 
+def _axis_value(value):
+    """A sweep axis value as a float, or "" (a blank cell) if it is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return ""
+
+
 def _read_report(path: str) -> tuple[EvalReport, object]:
-    """The EvalReport in a report.json, and its sweep axis value ("" if none)."""
+    """The EvalReport in a report.json, and its sweep axis value (see _axis_value)."""
     payload = _read_text(path, "object", "a report")
     record = {"config": {}, "details": {}, "dataset_id": "", "checkpoint_id": "", **payload}
     number = _of_type(int, float)
@@ -635,7 +651,7 @@ def _read_report(path: str) -> tuple[EvalReport, object]:
         report = EvalReport(**args)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
-    return report, payload.get("value", "")
+    return report, _axis_value(payload.get("value"))
 
 
 def _cmd_report(ns, staging: _Staging, *_) -> str:
@@ -647,6 +663,8 @@ def _cmd_report(ns, staging: _Staging, *_) -> str:
         values = [v.strip() for v in ns.values.split(",")]
         if len(values) != len(reports):
             raise CliError("--values must match the number of inputs")
+        if bad := [v for v in values if v and _axis_value(v) == ""]:
+            raise CliError(f"--values entry {bad[0]!r} is not a number")
     cfg_hash = json_digest({"inputs": paths, "axis": ns.axis or ""})
     name = f"report.{_SUFFIXES[ns.format]}"
     emit_report(

@@ -19,7 +19,7 @@ plain numpy so gradients can be verified against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int = 32
     backbone: str = "mlp"  # "mlp" or "transformer"
@@ -46,10 +46,7 @@ class EncoderConfig:
     head_norm: str = "batch"  # "batch" or "per_sample"
 
     def __post_init__(self) -> None:
-        self.mlp_widths = tuple(self.mlp_widths)
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "mlp_widths", tuple(self.mlp_widths))
         _check_numbers(self)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
@@ -72,13 +69,6 @@ class EncoderConfig:
     @property
     def backbone_dim(self) -> int:
         return self.mlp_widths[-1] if self.backbone == "mlp" else self.width
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderConfig":
-        return EncoderConfig(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +253,6 @@ class Encoder:
     """Backbone + projection head with explicit parameter dictionaries."""
 
     def __init__(self, cfg: EncoderConfig):
-        cfg.validate()
         self.cfg = cfg
 
     # -- parameter construction ---------------------------------------------

@@ -36,7 +36,7 @@ REG_GRID = np.logspace(-6.0, 5.0, 45)
 REG_GRID.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeConfig:
     max_iterations: int = 500
     normalize_features: bool = False
@@ -51,7 +51,7 @@ class ProbeConfig:
             raise ValueError("val_fraction must be in (0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeSpec:
     ways: int = 5
     shots: int = 5
@@ -86,9 +86,6 @@ class EvalReport:
             raise ValueError(f"ci95 must be finite and >= 0, not {self.ci95!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, not {self.count!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # L-BFGS settings: scipy's L-BFGS-B defaults (maxcor, pgtol, factr * eps, maxls)

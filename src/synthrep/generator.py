@@ -15,7 +15,7 @@ All operations are pure functions of their arguments plus explicit seeds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "GeneratorConfig",
     "prompt_from_text",
     "class_center",
-    "caption_offset",
     "caption_to_component",
     "epsilon_cond",
     "epsilon_uncond",
@@ -69,46 +68,15 @@ def prompt_from_text(caption_id: int, text: str, num_classes: int) -> PromptSpec
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Variance-preserving noise levels along the reverse trajectory.
-
-    alphas[i]^2 + sigmas[i]^2 == 1 at every index; alphas increase from near 0
-    (pure noise) to near 1 (clean). Endpoints are clamped away from 0 so the
-    eps parameterization never divides by zero.
-    """
+    """Variance-preserving noise levels along the reverse trajectory:
+    alphas[i]^2 + sigmas[i]^2 == 1, alphas increasing from near 0 (pure noise)
+    to near 1 (clean). `GeneratorConfig.schedule` builds it."""
 
     alphas: np.ndarray
     sigmas: np.ndarray
 
-    def __post_init__(self) -> None:
-        a, s = self.alphas, self.sigmas
-        if a.ndim != 1 or a.shape != s.shape or a.size < 1:
-            raise ValueError("schedule arrays must be 1-D and equally sized")
-        if np.min(s) <= 0 or np.min(a) <= 0:
-            raise ValueError("schedule requires alpha > 0 and sigma > 0 at every step")
-        if np.any(np.diff(a) <= 0):
-            raise ValueError("alpha must strictly increase along the reverse trajectory")
-        if np.max(np.abs(a**2 + s**2 - 1.0)) > 1e-12:
-            raise ValueError("schedule is not variance-preserving")
 
-    def __len__(self) -> int:
-        return int(self.alphas.size)
-
-    @staticmethod
-    def cosine(steps: int, floor: float = 1e-4) -> "DiffusionSchedule":
-        """Cosine schedule on `steps` uniform points, clamped so sigma >= floor
-        at the clean end and alpha >= floor at the noisy end."""
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        theta_noisy = np.arccos(floor)
-        theta_clean = np.arcsin(floor)
-        if steps == 1:
-            theta = np.array([theta_noisy])
-        else:
-            theta = np.linspace(theta_noisy, theta_clean, steps)
-        return DiffusionSchedule(alphas=np.cos(theta), sigmas=np.sin(theta))
-
-
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs of the toy generator. All scales are in feature-space units."""
 
@@ -121,14 +89,6 @@ class GeneratorConfig:
     ddim_steps: int = 50
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    @property
-    def schedule(self) -> DiffusionSchedule:
-        """The cosine schedule of `ddim_steps` levels, built on each read."""
-        return DiffusionSchedule.cosine(self.ddim_steps)
-
-    def validate(self) -> None:
         _check_numbers(self)
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be >= 2")
@@ -147,12 +107,13 @@ class GeneratorConfig:
         if self.ddim_steps < 1:
             raise ValueError("ddim_steps must be >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorConfig":
-        return GeneratorConfig(**d)
+    @property
+    def schedule(self) -> DiffusionSchedule:
+        """The cosine schedule of `ddim_steps` uniform angles, built on each
+        read; its ends are clamped to alpha >= 1e-4 (noisy) and sigma >= 1e-4
+        (clean), so the eps parameterization never divides by zero."""
+        theta = np.linspace(np.arccos(1e-4), np.arcsin(1e-4), self.ddim_steps)
+        return DiffusionSchedule(alphas=np.cos(theta), sigmas=np.sin(theta))
 
 
 def class_center(class_id: int, cfg: GeneratorConfig) -> np.ndarray:
@@ -161,17 +122,14 @@ def class_center(class_id: int, cfg: GeneratorConfig) -> np.ndarray:
     return cfg.class_center_scale * rng.standard_normal(cfg.feature_dim)
 
 
-def caption_offset(prompt: PromptSpec, cfg: GeneratorConfig) -> np.ndarray:
-    rng = rng_from(SALT_CAPTION_OFFSET, prompt.prompt_seed)
-    return cfg.caption_offset_scale * rng.standard_normal(cfg.feature_dim)
-
-
 def caption_to_component(
     prompt: PromptSpec, cfg: GeneratorConfig
 ) -> tuple[np.ndarray, int]:
-    """Mean of the conditional distribution for this caption, and its class."""
-    mean = class_center(prompt.class_id, cfg) + caption_offset(prompt, cfg)
-    return mean, prompt.class_id
+    """Mean of the conditional distribution for this caption, and its class:
+    the class center plus a caption offset drawn from the prompt seed."""
+    rng = rng_from(SALT_CAPTION_OFFSET, prompt.prompt_seed)
+    offset = cfg.caption_offset_scale * rng.standard_normal(cfg.feature_dim)
+    return class_center(prompt.class_id, cfg) + offset, prompt.class_id
 
 
 def _class_centers(cfg: GeneratorConfig) -> np.ndarray:
@@ -180,8 +138,8 @@ def _class_centers(cfg: GeneratorConfig) -> np.ndarray:
 
 
 def _level(schedule: DiffusionSchedule, index: int) -> tuple[float, float]:
-    if not 0 <= index < len(schedule):
-        raise IndexError(f"schedule index {index} out of range [0, {len(schedule)})")
+    if not 0 <= index < schedule.alphas.size:
+        raise IndexError(f"schedule index {index} out of range [0, {schedule.alphas.size})")
     return float(schedule.alphas[index]), float(schedule.sigmas[index])
 
 
@@ -263,7 +221,7 @@ def _ddim_trajectory(
     rows gives the same bits as sampling each row alone.
     """
     schedule = cfg.schedule
-    steps = len(schedule)
+    steps = schedule.alphas.size
     guided = np.flatnonzero(w[:, 0] != 1.0)
     w_guided = w[guided]
     z = z0
@@ -308,7 +266,6 @@ def generate_dataset(
     """
     from .manifest import DatasetManifest, _sampler
 
-    cfg.validate()
     _sampler(sampler)
     if images_per_caption < 1:
         raise ValueError("images_per_caption must be >= 1")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def json_digest(obj) -> str:
 
 def config_hash(cfg: GeneratorConfig, master_seed: int) -> str:
     """Stable hex digest of the generator config and master seed."""
-    return json_digest({"config": cfg.to_dict(), "master_seed": int(master_seed)})
+    return json_digest({"config": asdict(cfg), "master_seed": int(master_seed)})
 
 
 def _sampler(value):
@@ -137,7 +137,7 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         {
             "kind": _KIND,
             "version": _VERSION,
-            "config": manifest.config.to_dict(),
+            "config": asdict(manifest.config),
             "master_seed": int(manifest.master_seed),
             "config_hash": config_hash(manifest.config, manifest.master_seed),
             "content_hash": manifest.hash(),
@@ -243,7 +243,7 @@ def read_manifest(path: str) -> DatasetManifest:
         raise ValueError(f"{path}: not a {_KIND} file")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    cfg = _read_field(header, "config", GeneratorConfig.from_dict, path)
+    cfg = _read_field(header, "config", lambda d: GeneratorConfig(**d), path)
     n = _read_field(header, "num_samples", _of_type(int), path)
     master_seed = _read_field(header, "master_seed", _of_type(int), path)
     content_hash = _read_field(header, "content_hash", str, path)

@@ -75,7 +75,7 @@ def _check_numbers(config) -> None:
                 floats = [v if v is None else float(v) for v in entries]
             except OverflowError:
                 raise ValueError(f"{f.name} must be {what} within float range") from None
-            # object.__setattr__, since some configs are frozen
+            # object.__setattr__, since the configs are frozen
             object.__setattr__(config, f.name, tuple(floats) if is_tuple else floats[0])
 
 

@@ -58,7 +58,7 @@ class TrainingDivergedError(RuntimeError):
     """Loss or gradients became non-finite; training aborts with diagnostics."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_spec: BatchSpec = field(default_factory=lambda: BatchSpec(20, 6))
     loss_variant: str = "multi_positive"
@@ -77,10 +77,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.betas = tuple(self.betas)
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "betas", tuple(self.betas))
         _check_numbers(self)
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ValueError("tau must be finite and > 0")
@@ -129,24 +126,21 @@ class TrainConfig:
     def peak_lr(self) -> float:
         return self.base_lr * self.images_per_batch / self.reference_batch
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         d = dict(d)
         if "batch_spec" in d:
             d["batch_spec"] = BatchSpec(**d["batch_spec"])
         if "encoder" in d:
-            d["encoder"] = EncoderConfig.from_dict(d["encoder"])
+            d["encoder"] = EncoderConfig(**d["encoder"])
         if d.get("text_encoder") is not None:
-            d["text_encoder"] = EncoderConfig.from_dict(d["text_encoder"])
+            d["text_encoder"] = EncoderConfig(**d["text_encoder"])
         return TrainConfig(**d)
 
 
 def train_config_hash(cfg: TrainConfig) -> str:
     """Stable hex digest of the full training configuration."""
-    return json_digest(cfg.to_dict())
+    return json_digest(asdict(cfg))
 
 
 def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: float) -> float:
@@ -261,7 +255,6 @@ class Trainer:
     """Binds a manifest to a config and executes deterministic steps."""
 
     def __init__(self, manifest: DatasetManifest, cfg: TrainConfig):
-        cfg.validate()
         self.manifest = manifest
         self.cfg = cfg
         self.towers = _towers(cfg)
@@ -443,7 +436,7 @@ def run_training(
     dataset_hash = manifest.hash()
     if resume_from is not None:
         loaded_cfg, ts, meta = load_checkpoint(resume_from)
-        if loaded_cfg.to_dict() != cfg.to_dict():
+        if loaded_cfg != cfg:
             raise ValueError("checkpoint config does not match requested config")
         if meta.get("dataset_hash") != dataset_hash:
             raise ValueError(
@@ -540,7 +533,7 @@ def save_checkpoint(
         "meta": {
             "step": ts.step,
             "opt_step": ts.step,
-            "train_config": cfg.to_dict(),
+            "train_config": asdict(cfg),
             **(extra_meta or {}),
         },
         "arrays": [

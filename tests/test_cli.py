@@ -1264,3 +1264,82 @@ def test_sweep_epochs_shares_one_dataset(workdir):
         assert not os.path.exists(os.path.join(out, label, "manifest.jsonl"))
         _, ts, _ = load_checkpoint(os.path.join(out, label, "train", "checkpoint.bin"))
         assert ts.step == steps
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("m", "2,0", "invalid train config: samples_per_caption must be >= 1"),
+        ("epochs", "1,0", "invalid train config: epochs must be >= 1"),
+        ("l", "1,0", "budget quantities must be positive"),
+        # 8 captions x 3 images: the shared dataset has too few per caption
+        ("m", "2,4", "batches take 4 samples per caption; a caption has 3"),
+    ],
+)
+def test_sweep_checks_every_value_before_any_training(
+    workdir, capsys, monkeypatch, tmp_path, axis, values, message
+):
+    root, cfg = workdir
+    trainings = []
+    real_run_training = synthrep.cli.run_training
+
+    def counting_run_training(*args, **kwargs):
+        trainings.append(1)
+        return real_run_training(*args, **kwargs)
+
+    monkeypatch.setattr("synthrep.cli.run_training", counting_run_training)
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["sweep", "--config", cfg, "--seed", "5", "--axis", axis, "--values", values,
+         "--out", out]
+    )
+    assert code == 1
+    bad = values.split(",")[-1]
+    assert _single_json_error(capsys, "sweep") == f"sweep axis {axis!r} value {bad!r}: {message}"
+    assert trainings == []
+    assert not os.path.exists(out)
+
+
+def _axis_reports(tmp_path, values):
+    """Two report.json files as a sweep writes them, with these axis values."""
+    paths = []
+    for i, value in enumerate(values):
+        path = tmp_path / f"r{i}.json"
+        path.write_text(json.dumps(
+            {"kind": "linear_probe", "accuracy": 0.5, "ci95": 0.1, "count": 4,
+             "axis": "w", "value": value}
+        ))
+        paths.append(str(path))
+    return ",".join(paths)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "svg"])
+def test_report_values_entry_that_is_no_number_is_json_error(capsys, tmp_path, fmt):
+    inputs = _axis_reports(tmp_path, ["2", "4"])
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["report", "--inputs", inputs, "--format", fmt, "--values", "a,b", "--out", out]
+    )
+    assert code == 1
+    assert _single_json_error(capsys, "report") == "--values entry 'a' is not a number"
+    assert not os.path.exists(out)
+
+
+def test_report_renders_a_stored_value_that_is_no_number_blank(tmp_path):
+    # a guidance group cell stores its name as the value, as in sweep --axis w
+    inputs = _axis_reports(tmp_path, ["2", "small"])
+    out = str(tmp_path / "rendered")
+    assert main(["report", "--inputs", inputs, "--format", "csv", "--axis", "w",
+                 "--out", out]) == 0
+    rows = open(os.path.join(out, "report.csv")).read().splitlines()[2:]
+    assert [row.split(",")[1:3] for row in rows] == [["w", "2"], ["w", ""]]
+    table = str(tmp_path / "table")
+    assert main(["report", "--inputs", inputs, "--axis", "w", "--out", table]) == 0
+    # a blank --values entry renders blank too
+    blank = str(tmp_path / "blank")
+    assert main(["report", "--inputs", inputs, "--format", "csv", "--axis", "w",
+                 "--values", "3,", "--out", blank]) == 0
+    rows = open(os.path.join(blank, "report.csv")).read().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["3", ""]

@@ -1,4 +1,6 @@
+import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -158,9 +160,9 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = small_transformer_cfg()
-    assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+    assert EncoderConfig(**asdict(cfg)) == cfg
     cfg2 = small_mlp_cfg()
-    back = EncoderConfig.from_dict(cfg2.to_dict())
+    back = EncoderConfig(**json.loads(json.dumps(asdict(cfg2))))
     assert back == cfg2
     assert isinstance(back.mlp_widths, tuple)
 

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_eval_report_validation():
             EvalReport(**{"kind": "x", "accuracy": 0.5, "ci95": 0.1, "count": 4,
                           "config": {}, "details": {}, field: value})
     rep = EvalReport(kind="x", accuracy=0.5, ci95=0.1, count=4, config={}, details={})
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["kind"] == "x" and d["accuracy"] == 0.5 and d["count"] == 4
 
 

@@ -1,14 +1,22 @@
 """The package root exports what the demos and the README example import,
-and the README example runs."""
+the README example runs, and the config classes are frozen values."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import synthrep
+from synthrep.data import BatchSpec
+from synthrep.encoder import EncoderConfig
+from synthrep.evaluate import EpisodeSpec, ProbeConfig
+from synthrep.generator import GeneratorConfig
+from synthrep.train import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +64,18 @@ def test_readme_example_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     accuracy, ci95 = map(float, done.stdout.split())
     assert 0.0 <= accuracy <= 1.0 and ci95 >= 0.0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GeneratorConfig(), EncoderConfig(), TrainConfig(), ProbeConfig(), EpisodeSpec(),
+     BatchSpec(2, 1)],
+    ids=lambda config: type(config).__name__,
+)
+def test_configs_are_frozen_and_checked_only_at_construction(config):
+    # a config is checked once, in __post_init__, and serialised by asdict
+    for field in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, getattr(config, field.name))
+    for name in ("validate", "to_dict"):
+        assert not hasattr(config, name), f"{type(config).__name__} defines {name}"

@@ -1,15 +1,14 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from synthrep.generator import (
-    DiffusionSchedule,
     GeneratorConfig,
     PromptSpec,
     SamplerNumericsError,
-    caption_offset,
     caption_to_component,
     class_center,
     epsilon_cond,
@@ -63,16 +62,16 @@ def fd_score(logpdf, z, h=1e-6):
 
 
 def test_schedule_invariants():
-    sched = DiffusionSchedule.cosine(50)
-    assert sched.alphas.shape == (50,)
-    assert np.all(np.diff(sched.alphas) > 0)
-    np.testing.assert_allclose(sched.alphas**2 + sched.sigmas**2, 1.0, atol=1e-12)
-    assert sched.alphas[0] < 1e-3 and sched.alphas[-1] > 0.999
-
-
-def test_schedule_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        DiffusionSchedule.cosine(0)
+    for steps in (1, 2, 50):
+        sched = GeneratorConfig(ddim_steps=steps).schedule
+        assert sched.alphas.shape == sched.sigmas.shape == (steps,)
+        assert np.all(np.diff(sched.alphas) > 0)
+        np.testing.assert_allclose(sched.alphas**2 + sched.sigmas**2, 1.0, rtol=0, atol=1e-12)
+        assert min(sched.alphas.min(), sched.sigmas.min()) >= 1e-4 * (1 - 1e-12)
+        assert sched.alphas[0] < 1e-3
+    # one step is the noisy end alone, as np.linspace gives its start
+    np.testing.assert_allclose(GeneratorConfig(ddim_steps=1).schedule.alphas, [1e-4], rtol=1e-12)
+    assert sched.alphas[-1] > 0.999
 
 
 def test_class_center_deterministic_and_scaled():
@@ -189,7 +188,7 @@ def test_epsilon_uncond_equidistant_cancels_center_pull():
     # for symmetric centers that pull vanishes and eps is aligned with z.
     cfg = small_cfg(num_classes=2)
     c0, c1 = class_center(0, cfg), class_center(1, cfg)
-    k = len(cfg.schedule) - 5
+    k = cfg.schedule.alphas.size - 5
     alpha, sigma = cfg.schedule.alphas[k], cfg.schedule.sigmas[k]
     rng = np.random.default_rng(4)
     axis = alpha * (c0 - c1)
@@ -405,6 +404,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(guidance_scale=-0.5)
     for field, value in [
+        ("ddim_steps", 0),
         ("ddim_steps", "5"),
         ("ddim_steps", 3.5),
         ("feature_dim", 4.5),
@@ -417,6 +417,6 @@ def test_config_validation():
 
 def test_config_roundtrip():
     cfg = small_cfg(guidance_scale=4.0)
-    again = GeneratorConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = GeneratorConfig(**asdict(cfg))
+    assert asdict(again) == asdict(cfg)
     assert again == cfg

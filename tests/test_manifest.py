@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_write_read_round_trip_values(tmp_path):
     np.testing.assert_array_equal(back.latent_seeds, man.latent_seeds)
     np.testing.assert_array_equal(back.guidance_scales, man.guidance_scales)
     assert back.sampler == man.sampler
-    assert back.config.to_dict() == man.config.to_dict()
+    assert back.config == man.config
     assert back.hash() == man.hash()
 
 
@@ -121,7 +122,7 @@ def test_hash_distinguishes_content():
 def test_config_hash_ignores_key_order():
     cfg = GeneratorConfig(feature_dim=5, num_classes=3, ddim_steps=8)
     h1 = config_hash(cfg, 7)
-    h2 = config_hash(GeneratorConfig.from_dict(dict(reversed(list(cfg.to_dict().items())))), 7)
+    h2 = config_hash(GeneratorConfig(**dict(reversed(list(asdict(cfg).items())))), 7)
     assert h1 == h2
     assert h1 != config_hash(cfg, 8)
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -194,10 +195,19 @@ def test_train_config_validation():
 
 
 def test_train_config_round_trip_and_hash():
-    cfg = tiny_cfg(text_encoder=text_encoder_cfg(), loss_variant="multi_positive_text")
-    back = TrainConfig.from_dict(cfg.to_dict())
-    assert back.to_dict() == cfg.to_dict()
-    assert train_config_hash(back) == train_config_hash(cfg)
+    transformer = EncoderConfig(
+        input_dim=4, backbone="transformer", patch_size=2, depth=1, width=8, heads=2,
+        head_hidden=8, head_out=4,
+    )
+    for cfg in (
+        tiny_cfg(),
+        tiny_cfg(encoder=transformer, text_encoder=text_encoder_cfg(),
+                 loss_variant="multi_positive_text"),
+    ):
+        back = TrainConfig.from_dict(asdict(cfg))
+        assert back == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+        assert train_config_hash(back) == train_config_hash(cfg)
     assert train_config_hash(tiny_cfg()) != train_config_hash(tiny_cfg(tau=0.4))
 
 
@@ -369,7 +379,7 @@ def test_checkpoint_round_trip_and_byte_determinism(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
     loaded_cfg, loaded, meta = load_checkpoint(p1)
-    assert loaded_cfg.to_dict() == cfg.to_dict()
+    assert loaded_cfg == cfg
     assert meta["tag"] == "x"
     assert loaded.step == ts.step
     for field in ("params", "m", "v"):
