@@ -74,6 +74,12 @@ def test_schedule_invariants():
     assert sched.alphas[-1] > 0.999
 
 
+def test_schedule_rejects_bad_steps():
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="ddim_steps"):
+            GeneratorConfig(ddim_steps=steps)
+
+
 def test_class_center_deterministic_and_scaled():
     cfg = small_cfg()
     c1 = class_center(0, cfg)
@@ -404,7 +410,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(guidance_scale=-0.5)
     for field, value in [
-        ("ddim_steps", 0),
         ("ddim_steps", "5"),
         ("ddim_steps", 3.5),
         ("feature_dim", 4.5),
