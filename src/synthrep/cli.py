@@ -658,6 +658,8 @@ def _cmd_report(ns, staging: _Staging, *_) -> str:
     paths = [p.strip() for p in ns.inputs.split(",") if p.strip()]
     if not paths:
         raise CliError("--inputs must list report JSON files")
+    if ns.axis and any(c in ns.axis for c in ',"\r\n'):
+        raise CliError(f"--axis {ns.axis!r} holds a comma, a double quote or a line break")
     reports, values = (list(column) for column in zip(*map(_read_report, paths)))
     if ns.values:
         values = [v.strip() for v in ns.values.split(",")]

@@ -120,9 +120,10 @@ def fit_logreg(
 
     Each problem minimises mean cross-entropy + reg_lambda * 0.5 * ||W||^2
     (bias unregularized) by L-BFGS from a zero start. `features` is (n, d),
-    shared by every problem, or (B, n, d); `labels` is (n,) or (B, n) and
-    `reg_lambda` a scalar or (B,). Returns (W, b, converged) of shapes
-    (B, d, k), (B, k) and (B,); B is dropped when no input has a batch axis.
+    shared by every problem, or (B, n, d); `labels` is one (n,) vector that
+    every problem shares, and `reg_lambda` a scalar or (B,). Returns
+    (W, b, converged) of shapes (B, d, k), (B, k) and (B,); B is dropped
+    when no input has a batch axis.
 
     Every problem runs its own iterations, line search and stopping test, and
     every product is a per-problem matmul, so a problem's result has the same
@@ -133,29 +134,26 @@ def fit_logreg(
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     lam = np.asarray(reg_lambda, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-1], lam.shape)
-    if len(batch) > 1 or x.ndim not in (2, 3) or y.ndim not in (1, 2):
-        raise ValueError("fit_logreg takes (n, d) or (B, n, d) features and one batch axis")
+    batch = np.broadcast_shapes(x.shape[:-2], lam.shape)
+    if len(batch) > 1 or x.ndim not in (2, 3) or y.shape != x.shape[-2:-1]:
+        raise ValueError(
+            "fit_logreg takes (n, d) or (B, n, d) features, one (n,) label vector, one batch axis"
+        )
     size = batch[0] if batch else 1
     n, d = x.shape[-2:]
     k, dk = num_classes, d * num_classes
     if x.ndim == 3 and x.shape[0] == 1:
         x = x[0]
-    y = y.reshape(-1, 1, n)  # (1 or B, 1, n); a leading 1 is shared
-    # per-problem data; a shared member is not indexed by problem
-    data = [
-        x,
-        np.ascontiguousarray(np.swapaxes(x, -1, -2)),
-        y,
-        (y == np.arange(k)[:, None]).astype(float),
-        np.broadcast_to(lam, (size,)).copy(),
-    ]
-    shared = [x.ndim == 2, x.ndim == 2, y.shape[0] == 1, y.shape[0] == 1, False]
+    y = y.reshape(1, 1, n)
+    onehot = (y == np.arange(k)[:, None]).astype(float)
+    # per-problem data: the features (when batched) and the penalties
+    data = [x, np.ascontiguousarray(np.swapaxes(x, -1, -2)), np.broadcast_to(lam, (size,)).copy()]
 
     def take(data, i):
-        return [a if s else a[i] for a, s in zip(data, shared)]
+        x, xt, lam = data
+        return [x[i], xt[i], lam[i]] if x.ndim == 3 else [x, xt, lam[i]]
 
-    def objective(theta, x, xt, y, onehot, lam):
+    def objective(theta, x, xt, lam):
         # a row of theta is W^T (k, d) row-major, then b; logits are (B, k, n),
         # so the reductions over classes run along a middle axis
         w = theta[:, :dk]
@@ -305,6 +303,8 @@ def linear_probe(
     yt = np.asarray(test_labels)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xt))):
         raise ValueError("features must be finite")
+    if x.shape[-1] != xt.shape[-1]:
+        raise ValueError(f"train features are {x.shape[-1]}-d and test features {xt.shape[-1]}-d")
     classes = np.unique(np.concatenate([y, yt]))
     if classes.size < 2:
         raise ValueError("need at least 2 classes")
@@ -437,10 +437,11 @@ def _int64(value) -> int:
 
 
 def _feature_row(value) -> np.ndarray:
-    row = np.asarray(value, dtype=float)
-    if row.ndim != 1:
-        raise ValueError("expected a list of numbers")
-    return row
+    # JSON types are checked as read_manifest checks them: numpy would
+    # coerce "0.5" or true unseen
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise TypeError("expected a list of JSON numbers")
+    return np.array(value, dtype=float)
 
 
 def load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ from .generator import GeneratorConfig
 
 __all__ = [
     "DatasetManifest",
-    "config_hash",
     "fmt_float",
     "write_manifest",
     "read_manifest",
@@ -46,7 +45,7 @@ def json_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def config_hash(cfg: GeneratorConfig, master_seed: int) -> str:
+def _config_hash(cfg: GeneratorConfig, master_seed: int) -> str:
     """Stable hex digest of the generator config and master seed."""
     return json_digest({"config": asdict(cfg), "master_seed": int(master_seed)})
 
@@ -99,21 +98,14 @@ class DatasetManifest:
         _, first = np.unique(self.caption_ids, return_index=True)
         return self.caption_ids[np.sort(first)]
 
-    @property
-    def num_captions(self) -> int:
-        return int(self.unique_caption_ids.size)
-
-    def rows_for_caption(self, caption_id: int) -> np.ndarray:
-        rows = np.flatnonzero(self.caption_ids == caption_id)
-        if rows.size == 0:
-            raise KeyError(f"caption_id {caption_id} not in manifest")
-        return rows
-
     def prompt_for(self, caption_id: int):
         """Reconstruct the PromptSpec of a caption from its stored seed."""
         from .generator import PromptSpec
 
-        row = self.rows_for_caption(caption_id)[0]
+        rows = np.flatnonzero(self.caption_ids == caption_id)
+        if rows.size == 0:
+            raise KeyError(f"caption_id {caption_id} not in manifest")
+        row = rows[0]
         return PromptSpec(
             caption_id=int(caption_id),
             class_id=int(self.class_ids[row]),
@@ -123,7 +115,7 @@ class DatasetManifest:
     def hash(self) -> str:
         """Content hash covering config, seed, sampler, and every row."""
         h = hashlib.sha256()
-        h.update(config_hash(self.config, self.master_seed).encode("ascii"))
+        h.update(_config_hash(self.config, self.master_seed).encode("ascii"))
         h.update(self.sampler.encode("ascii"))
         for name in ("caption_ids", "class_ids", "prompt_seeds", "latent_seeds"):
             h.update(np.ascontiguousarray(getattr(self, name), dtype=np.uint64).tobytes())
@@ -139,7 +131,7 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
             "version": _VERSION,
             "config": asdict(manifest.config),
             "master_seed": int(manifest.master_seed),
-            "config_hash": config_hash(manifest.config, manifest.master_seed),
+            "config_hash": _config_hash(manifest.config, manifest.master_seed),
             "content_hash": manifest.hash(),
             "num_samples": manifest.num_samples,
             "sampler": manifest.sampler,
@@ -288,7 +280,7 @@ def read_manifest(path: str) -> DatasetManifest:
         features=features,
         sampler=sampler,
     )
-    if header.get("config_hash") != config_hash(cfg, master_seed):
+    if header.get("config_hash") != _config_hash(cfg, master_seed):
         raise ValueError(f"{path}: config hash mismatch")
     if manifest.hash() != content_hash:
         raise ValueError(f"{path}: content hash mismatch")

@@ -31,6 +31,11 @@ def _num(v: float) -> str:
     return "%.6g" % float(v)
 
 
+def _xml_text(text: str) -> str:
+    """text with the characters XML reserves in a text node escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _rows(reports, axis_name, axis_values):
     if axis_values is None:
         axis_values = [""] * len(reports)
@@ -111,14 +116,15 @@ def _write_svg(path, reports, axis_name, axis_values, title, meta_comment):
         f'height="{_num(height)}" viewBox="0 0 {_num(width)} {_num(height)}">',
         f'<rect x="0" y="0" width="{_num(width)}" height="{_num(height)}" fill="white"/>',
         f'<text x="{_num(width / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{_xml_text(title)}</text>',
         # axes
         f'<line x1="{_num(left)}" y1="{_num(top)}" x2="{_num(left)}" '
         f'y2="{_num(top + plot_h)}" stroke="black"/>',
         f'<line x1="{_num(left)}" y1="{_num(top + plot_h)}" '
         f'x2="{_num(left + plot_w)}" y2="{_num(top + plot_h)}" stroke="black"/>',
         f'<text x="{_num(left + plot_w / 2)}" y="{_num(height - 12)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">{axis_name}</text>',
+        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
+        f"{_xml_text(axis_name)}</text>",
         f'<text x="18" y="{_num(top + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {_num(top + plot_h / 2)})">accuracy</text>',

@@ -18,7 +18,6 @@ SALT_CLASS_CENTER = 0x1A2B_0001
 SALT_CAPTION_OFFSET = 0x1A2B_0002
 SALT_LATENT = 0x1A2B_0003
 SALT_BATCH = 0x1A2B_0004
-SALT_SUBSET = 0x1A2B_0005
 SALT_AUGMENT = 0x1A2B_0006
 SALT_EPOCH = 0x1A2B_0007
 SALT_INIT = 0x1A2B_0008
@@ -26,18 +25,14 @@ SALT_EVAL = 0x1A2B_0009
 SALT_GUIDANCE = 0x1A2B_000A
 
 
-def seed_sequence(*entropy: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(list(entropy))
-
-
 def rng_from(*entropy: int) -> np.random.Generator:
     """PCG64 generator keyed by an explicit entropy tuple."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(*entropy)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
 def derive_u64(*entropy: int) -> int:
     """A single 64-bit value derived from the entropy tuple."""
-    state = seed_sequence(*entropy).generate_state(2, np.uint32)
+    state = np.random.SeedSequence(list(entropy)).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
 
 

@@ -12,6 +12,7 @@ state.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -113,10 +114,6 @@ class TrainConfig:
         return self.loss_variant in _TEXT_VARIANTS
 
     @property
-    def images_per_batch(self) -> int:
-        return self.batch_spec.total
-
-    @property
     def reference_batch(self) -> int:
         # two-view single-positive runs follow the 256-image convention,
         # multi-positive runs the 512-image convention
@@ -124,7 +121,7 @@ class TrainConfig:
 
     @property
     def peak_lr(self) -> float:
-        return self.base_lr * self.images_per_batch / self.reference_batch
+        return self.base_lr * self.batch_spec.total / self.reference_batch
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -136,11 +133,6 @@ class TrainConfig:
         if d.get("text_encoder") is not None:
             d["text_encoder"] = EncoderConfig(**d["text_encoder"])
         return TrainConfig(**d)
-
-
-def train_config_hash(cfg: TrainConfig) -> str:
-    """Stable hex digest of the full training configuration."""
-    return json_digest(asdict(cfg))
 
 
 def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: float) -> float:
@@ -194,15 +186,11 @@ def adamw_step(
     lr: float,
     betas: tuple,
     weight_decay: float,
-    eps: float = 1e-8,
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """Bias-corrected adaptive update with decoupled weight decay: advances
-    `ts` in place by one optimizer step.
-
-    Every intermediate is written into `scratch[k]`, two float64 arrays of
-    each parameter's shape; with None the pair is allocated per call. Either
-    way the same ufuncs run in the same order, so the bits are the same.
+    """Bias-corrected adaptive update with decoupled weight decay (eps 1e-8):
+    advances `ts` in place by one optimizer step. Every intermediate is
+    written into `scratch[k]`, two float64 arrays of each parameter's shape.
     """
     b1, b2 = betas
     ts.step += 1
@@ -210,7 +198,7 @@ def adamw_step(
     bc2 = 1.0 - b2**ts.step
     for k in sorted(ts.params):
         g, p, m, v = grads[k], ts.params[k], ts.m[k], ts.v[k]
-        t, u = (np.empty(p.shape), np.empty(p.shape)) if scratch is None else scratch[k]
+        t, u = scratch[k]
         m *= b1
         np.multiply(1 - b1, g, out=t)
         m += t
@@ -218,11 +206,11 @@ def adamw_step(
         np.multiply(1 - b2, g, out=t)
         t *= g
         v += t
-        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + 1e-8) + weight_decay * p)
         np.divide(m, bc1, out=t)
         np.divide(v, bc2, out=u)
         np.sqrt(u, out=u)
-        u += eps
+        u += 1e-8
         t /= u
         np.multiply(weight_decay, p, out=u)
         t += u
@@ -396,7 +384,7 @@ class Trainer:
                 for g in grads.values():
                     g *= scale
 
-            adamw_step(ts, grads, lr, cfg.betas, cfg.weight_decay, scratch=self._scratch)
+            adamw_step(ts, grads, lr, cfg.betas, cfg.weight_decay, self._scratch)
             return {
                 "step": ts.step,
                 "epoch_equiv": ts.step / self.steps_per_epoch,
@@ -405,33 +393,23 @@ class Trainer:
                 "grad_norm": grad_norm,
             }
 
-    def run(self, ts: TrainState, on_step=None) -> list[dict]:
-        metrics = []
-        while ts.step < self.total_steps:
-            rec = self.train_step(ts)
-            metrics.append(rec)
-            if on_step is not None:
-                on_step(ts, rec)
-        return metrics
+    def run(self, ts: TrainState) -> list[dict]:
+        return [self.train_step(ts) for _ in range(ts.step, self.total_steps)]
 
 
 def run_training(
     manifest: DatasetManifest,
     cfg: TrainConfig,
-    out_dir: str | None = None,
+    out_dir: str,
     checkpoint_every: int = 0,
     resume_from: str | None = None,
     digest=None,
 ) -> tuple[TrainState, list[dict]]:
-    """Train to completion; optionally write metrics and checkpoints.
-
-    Artifacts under out_dir: metrics.jsonl (one record per step) and
-    checkpoint.bin (final state), plus checkpoint_NNNNNN.bin every
-    `checkpoint_every` steps when requested. A hashlib `digest`, when given,
-    is fed the bytes of checkpoint.bin as they are written.
+    """Train to completion, writing under out_dir metrics.jsonl (one record
+    per step) and checkpoint.bin (final state), plus checkpoint_NNNNNN.bin
+    every `checkpoint_every` steps when requested. A hashlib `digest`, when
+    given, is fed the bytes of checkpoint.bin as they are written.
     """
-    import os
-
     trainer = Trainer(manifest, cfg)
     dataset_hash = manifest.hash()
     if resume_from is not None:
@@ -451,31 +429,19 @@ def run_training(
     else:
         ts = trainer.init_state()
 
-    cfg_hash = train_config_hash(cfg)
-    ckpt_meta = {"config_hash": cfg_hash, "dataset_hash": dataset_hash}
-
-    def on_step(state: TrainState, rec: dict) -> None:
-        if (
-            out_dir is not None
-            and checkpoint_every > 0
-            and state.step % checkpoint_every == 0
-            and state.step < trainer.total_steps
-        ):
-            save_checkpoint(
-                os.path.join(out_dir, f"checkpoint_{state.step:06d}.bin"),
-                cfg,
-                state,
-                ckpt_meta,
-            )
-
-    metrics = trainer.run(ts, on_step=on_step)
-    if out_dir is not None:
-        write_metrics(
-            os.path.join(out_dir, "metrics.jsonl"),
-            metrics,
-            header={"kind": "synthrep-metrics", **ckpt_meta},
-        )
-        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), cfg, ts, ckpt_meta, digest)
+    ckpt_meta = {"config_hash": json_digest(asdict(cfg)), "dataset_hash": dataset_hash}
+    metrics, last = [], trainer.total_steps
+    while ts.step < last:
+        metrics.append(trainer.train_step(ts))
+        if checkpoint_every > 0 and ts.step % checkpoint_every == 0 and ts.step < last:
+            path = os.path.join(out_dir, f"checkpoint_{ts.step:06d}.bin")
+            save_checkpoint(path, cfg, ts, ckpt_meta)
+    write_metrics(
+        os.path.join(out_dir, "metrics.jsonl"),
+        metrics,
+        header={"kind": "synthrep-metrics", **ckpt_meta},
+    )
+    save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), cfg, ts, ckpt_meta, digest)
     return ts, metrics
 
 

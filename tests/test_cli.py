@@ -982,6 +982,8 @@ def test_fewshot_without_data_or_features_is_json_error(workdir, capsys, tmp_pat
         ({"sample_id": 0, "feature": [1.0, 2.0, 3.0, 4.0]}, "has no field 'class_id'"),
         ([1, 2], "is not a JSON object"),
         ({"sample_id": 0, "class_id": 0, "feature": [1.0]}, "field 'feature' has length 1"),
+        ({"sample_id": 0, "class_id": 0, "feature": ["0.5", True, 1.0, 2.0]},
+         "field 'feature' is invalid: expected a list of JSON numbers"),
     ],
 )
 def test_probe_bad_feature_record_is_json_error(
@@ -1325,6 +1327,29 @@ def test_report_values_entry_that_is_no_number_is_json_error(capsys, tmp_path, f
     assert code == 1
     assert _single_json_error(capsys, "report") == "--values entry 'a' is not a number"
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("axis", ["w, m", 'say "m"', "m\nw"])
+def test_report_axis_that_breaks_a_csv_row_is_json_error(capsys, tmp_path, axis):
+    inputs = _axis_reports(tmp_path, ["2", "4"])
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["report", "--inputs", inputs, "--format", "csv", "--axis", axis, "--out", out])
+    assert code == 1
+    assert _single_json_error(capsys, "report").startswith(f"--axis {axis!r} holds")
+    assert not os.path.exists(out)
+
+
+def test_report_svg_escapes_its_title_and_axis(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    inputs = _axis_reports(tmp_path, ["2", "4"])
+    out = str(tmp_path / "rendered")
+    argv = ["report", "--inputs", inputs, "--format", "svg", "--title", "acc & m < 6",
+            "--axis", "m > 1 & w", "--out", out]
+    assert main(argv) == 0
+    texts = [t.text for t in ET.parse(os.path.join(out, "report.svg")).iter() if t.text]
+    assert "acc & m < 6" in texts and "m > 1 & w" in texts
 
 
 def test_report_renders_a_stored_value_that_is_no_number_blank(tmp_path):

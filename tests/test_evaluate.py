@@ -164,18 +164,30 @@ def test_fit_logreg_shared_features_batch_is_bitwise_single_fits():
 
 
 def test_fit_logreg_per_problem_batch_is_bitwise_single_fits():
+    # per-problem features under one label vector, as few-shot episodes are
     x, y = clustered(4, 15, 6, spread=2.0, seed=52)
     rng = np.random.default_rng(52)
-    pick = np.stack([rng.permutation(x.shape[0])[:20] for _ in range(6)])
-    xs, ys = x[pick], y[pick]
+    labels = np.repeat(np.arange(4), 5)
+    by_class = [np.flatnonzero(y == c) for c in range(4)]
+    xs = np.stack(
+        [x[np.concatenate([rng.choice(rows, 5, replace=False) for rows in by_class])]
+         for _ in range(6)]
+    )
     lams = np.linspace(0.0, 2.0, 6)
-    w, b, ok = fit_logreg(xs, ys, 4, lams, max_iterations=200)
+    w, b, ok = fit_logreg(xs, labels, 4, lams, max_iterations=200)
     assert w.shape == (6, 6, 4) and ok.all()
     for i in range(6):
-        wi, bi, _ = fit_logreg(xs[i], ys[i], 4, lams[i], max_iterations=200)
+        wi, bi, _ = fit_logreg(xs[i], labels, 4, lams[i], max_iterations=200)
         assert _bits(wi, bi) == _bits(w[i], b[i])
-    rev, rev_b, _ = fit_logreg(xs[::-2], ys[::-2], 4, lams[::-2], max_iterations=200)
+    rev, rev_b, _ = fit_logreg(xs[::-2], labels, 4, lams[::-2], max_iterations=200)
     assert _bits(rev, rev_b) == _bits(w[::-2], b[::-2])
+
+
+def test_fit_logreg_refuses_a_label_vector_per_problem():
+    x, y = clustered(3, 10, 4, spread=1.0, seed=54)
+    for labels in (np.stack([y, y]), y[:-1]):
+        with pytest.raises(ValueError, match=r"one \(n,\) label vector"):
+            fit_logreg(np.stack([x, x]), labels, 3, 1.0)
 
 
 def test_fit_logreg_max_iterations_caps_each_problem():
@@ -288,6 +300,17 @@ def test_probe_input_validation():
     # one training row per class leaves nothing to select the penalty on
     with pytest.raises(ValueError, match="validation split is empty"):
         linear_probe(np.eye(3), np.arange(3), np.eye(3), np.arange(3))
+
+
+def test_probe_refuses_train_and_test_features_of_two_widths(monkeypatch):
+    x, y = clustered(3, 10, 6, spread=1.0, seed=5)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the widths were checked")
+
+    monkeypatch.setattr("synthrep.evaluate.fit_logreg", no_fit)
+    with pytest.raises(ValueError, match="train features are 6-d and test features 4-d"):
+        linear_probe(x, y, x[:, :4], y)
 
 
 def test_fewshot_separable_and_error_paths():
@@ -411,6 +434,10 @@ def test_feature_io_round_trip(tmp_path):
         ('{"sample_id":true,"class_id":1,"feature":[1.0]}\n', "line 1 field 'sample_id' is invalid"),
         ('{"sample_id":0,"class_id":0,"feature":[[1.0]]}\n', "line 1 field 'feature' is invalid"),
         ('{"sample_id":0,"class_id":0,"feature":"1.0"}\n', "line 1 field 'feature' is invalid"),
+        (
+            '{"sample_id":0,"class_id":0,"feature":["0.5",true]}\n',
+            "line 1 field 'feature' is invalid: expected a list of JSON numbers",
+        ),
         ('{"sample_id":0,"class_id":0,"feature":[1.0]\n', "line 1 is not JSON"),
     ],
 )

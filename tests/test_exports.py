@@ -1,8 +1,10 @@
 """The package root exports what the demos and the README example import,
-the README example runs, and the config classes are frozen values."""
+every submodule export has a caller outside its module, the README example
+runs, and the config classes are frozen values."""
 
 import ast
 import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -52,6 +54,50 @@ def test_root_exports_nothing_its_callers_do_not_use():
     used = set().union(*(_root_imports(s) for s in _caller_sources().values()))
     assert sorted(set(synthrep.__all__) - used) == ["__version__"]
     assert len(synthrep.__all__) == len(set(synthrep.__all__))
+
+
+def _identifiers(source: str) -> set[str]:
+    """The names a Python source refers to: names, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _trace_targets() -> set[str]:
+    """The attribute names that perfbench/trace.py wraps, such as Trainer.train_step."""
+    for node in ast.parse((ROOT / "perfbench" / "trace.py").read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TARGETS":
+            return {part for *_, attr in ast.literal_eval(node.value) for part in attr.split(".")}
+    raise AssertionError("perfbench/trace.py defines no TARGETS")
+
+
+def test_every_submodule_export_has_a_caller_outside_its_module():
+    # callers: the other package modules, the demos, the README, the
+    # benchmark's trace targets and the acceptance gates; exception classes
+    # are exempt, since callers catch them by a base class
+    package = ROOT / "src" / "synthrep"
+    modules = {p.stem: _identifiers(p.read_text()) for p in sorted(package.glob("*.py"))}
+    outside = set(_trace_targets())
+    outside |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in [*sorted(ROOT.glob("demos/*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        outside |= _identifiers(path.read_text())
+    unused = []
+    for stem in sorted(modules.keys() - {"__init__"}):
+        module = importlib.import_module(f"synthrep.{stem}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if isinstance(value, type) and issubclass(value, Exception):
+                continue
+            others = (ids for other, ids in modules.items() if other != stem)
+            if name not in outside and not any(name in ids for ids in others):
+                unused.append(f"synthrep.{stem}.{name}")
+    assert unused == []
 
 
 def test_readme_example_runs(tmp_path):

@@ -306,7 +306,8 @@ def test_generate_dataset_batched_matches_single():
         assert full.features.shape == (150, 6)
         for subset in subsets:
             part = generate_dataset(subset, 5, cfg, seed=11, **kw)
-            rows = np.concatenate([full.rows_for_caption(p.caption_id) for p in subset])
+            rows = np.concatenate([np.flatnonzero(full.caption_ids == p.caption_id)
+                                   for p in subset])
             np.testing.assert_array_equal(part.features, full.features[rows])
             np.testing.assert_array_equal(part.guidance_scales, full.guidance_scales[rows])
     assert set(full.guidance_scales.tolist()) == {1.0, 2.5, 7.0}
@@ -362,7 +363,7 @@ def test_generate_dataset_direct_sampler_matches_conditional():
     man = generate_dataset(prompts, 50, cfg, seed=13, sampler="direct")
     var = cfg.conditional_std**2
     for p in prompts:
-        rows = man.rows_for_caption(p.caption_id)
+        rows = np.flatnonzero(man.caption_ids == p.caption_id)
         mean, _ = caption_to_component(p, cfg)
         x = man.features[rows]
         assert np.all(np.abs(x.mean(axis=0) - mean) < 5 * np.sqrt(var / len(rows)))

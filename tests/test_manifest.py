@@ -8,7 +8,7 @@ import pytest
 from synthrep.generator import GeneratorConfig, generate_dataset, prompt_from_text
 from synthrep.manifest import (
     DatasetManifest,
-    config_hash,
+    _config_hash,
     fmt_float,
     read_manifest,
     write_manifest,
@@ -121,30 +121,30 @@ def test_hash_distinguishes_content():
 
 def test_config_hash_ignores_key_order():
     cfg = GeneratorConfig(feature_dim=5, num_classes=3, ddim_steps=8)
-    h1 = config_hash(cfg, 7)
-    h2 = config_hash(GeneratorConfig(**dict(reversed(list(asdict(cfg).items())))), 7)
+    h1 = _config_hash(cfg, 7)
+    h2 = _config_hash(GeneratorConfig(**dict(reversed(list(asdict(cfg).items())))), 7)
     assert h1 == h2
-    assert h1 != config_hash(cfg, 8)
+    assert h1 != _config_hash(cfg, 8)
 
 
 def test_unique_caption_ids_preserve_order():
     man = make_manifest()
     ids = man.unique_caption_ids
     assert list(ids) == sorted(set(man.caption_ids.tolist()), key=list(man.caption_ids).index)
-    assert man.num_captions == 6
+    assert ids.size == 6
 
 
 def test_rows_and_prompt_accessors():
     man = make_manifest()
     cid = int(man.unique_caption_ids[2])
-    rows = man.rows_for_caption(cid)
-    assert np.all(man.caption_ids[rows] == cid)
+    rows = np.flatnonzero(man.caption_ids == cid)
     assert len(rows) == 4
     prompt = man.prompt_for(cid)
     assert prompt.caption_id == cid
     assert prompt.class_id == man.class_ids[rows[0]]
+    assert prompt.prompt_seed == man.prompt_seeds[rows[0]]
     with pytest.raises(KeyError):
-        man.rows_for_caption(10_000)
+        man.prompt_for(10_000)
 
 
 def test_read_rejects_corrupt_header(tmp_path):

@@ -12,7 +12,6 @@ from synthrep.seeding import (
     caption_fingerprint,
     derive_u64,
     rng_from,
-    seed_sequence,
 )
 from synthrep.train import TrainConfig
 
@@ -73,8 +72,11 @@ def test_caption_fingerprint_matches_sha256():
 
 
 def test_seed_sequence_rejects_negative():
+    # np.random.SeedSequence refuses negative entropy, so rng_from does too
     with pytest.raises(ValueError):
-        seed_sequence(SALT_BATCH, -1)
+        rng_from(SALT_BATCH, -1)
+    with pytest.raises(ValueError):
+        derive_u64(SALT_BATCH, -1)
 
 
 def test_an_integer_for_a_float_field_is_stored_as_a_float():
