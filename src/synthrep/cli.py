@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
 import sys
 import tempfile
@@ -560,6 +561,10 @@ def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
 
 # the file suffix of each report format
 _SUFFIXES = {"csv": "csv", "table": "txt", "svg": "svg"}
+# a character that splits a CSV row, and one XML 1.0 forbids: a control character
+# other than tab, LF and CR, a surrogate, U+FFFE or U+FFFF
+_CSV_BREAK = re.compile('[,"\r\n]')
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> str:
@@ -621,11 +626,18 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
 
 
 def _axis_value(value):
-    """A sweep axis value as a float, or "" (a blank cell) if it is no number."""
+    """A sweep axis value as a float, or "" (a blank cell) if it is no finite number."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         return ""
+    return number if np.isfinite(number) else ""
+
+
+def _refuse(pattern: re.Pattern, text: str, what: str) -> None:
+    """A CliError if `text`, the value of `what`, holds a character `pattern` matches."""
+    if bad := pattern.search(text):
+        raise CliError(f"{what} {text!r} holds {bad.group()!r}, which a report cannot render")
 
 
 def _read_report(path: str) -> tuple[EvalReport, object]:
@@ -647,6 +659,8 @@ def _read_report(path: str) -> tuple[EvalReport, object]:
         name: _read_field(record, name, convert, path, "report")
         for name, convert in fields.items()
     }
+    for name in ("kind", "dataset_id", "checkpoint_id"):
+        _refuse(_CSV_BREAK, args[name], f"{path}: report field {name!r} value")
     try:
         report = EvalReport(**args)
     except ValueError as exc:
@@ -658,8 +672,9 @@ def _cmd_report(ns, staging: _Staging, *_) -> str:
     paths = [p.strip() for p in ns.inputs.split(",") if p.strip()]
     if not paths:
         raise CliError("--inputs must list report JSON files")
-    if ns.axis and any(c in ns.axis for c in ',"\r\n'):
-        raise CliError(f"--axis {ns.axis!r} holds a comma, a double quote or a line break")
+    _refuse(_CSV_BREAK, ns.axis or "", "--axis")
+    _refuse(_NOT_XML, ns.axis or "", "--axis")
+    _refuse(_NOT_XML, ns.title, "--title")
     reports, values = (list(column) for column in zip(*map(_read_report, paths)))
     if ns.values:
         values = [v.strip() for v in ns.values.split(",")]
@@ -755,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
                     staging.path("provenance.json"), ns.command, cfg, seed
                 )
             summary = ns.func(ns, staging, cfg, seed, cfg_hash)
-    except (CliError, ValueError, OSError, RuntimeError) as exc:
+    except (CliError, ValueError, OSError, RuntimeError, MemoryError) as exc:
         record = {"error": str(exc), "command": ns.command}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

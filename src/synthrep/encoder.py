@@ -12,9 +12,9 @@ then the head.
 The same class serves as the text tower, encoding caption vectors with its
 own parameter set.
 
-Forward passes record a cache; `backward` replays it exactly, including the
-Jacobian of the final row normalization, (I - u u^T) / ||v||. Everything is
-plain numpy so gradients can be verified against finite differences.
+A pass records each layer's backward closure on a tape, which `backward`
+replays in reverse: exact gradients, including the row normalization's
+Jacobian (I - u u^T) / ||v||, in plain numpy, checkable by finite differences.
 """
 
 from __future__ import annotations
@@ -72,19 +72,34 @@ class EncoderConfig:
 
 
 # ---------------------------------------------------------------------------
-# primitive layers: each forward returns (out, cache), each backward consumes
-# the upstream gradient and cache and returns (dx, param grads...)
+# layers: each returns (out, back); back(dy, grads) returns the input gradient
+# and writes the layer's parameter gradients into grads
 
-def _affine_fwd(x, w, b):
-    return x @ w + b, (x, w)
+def _backprop(tape, dy, grads):
+    for back in reversed(tape):
+        dy = back(dy, grads)
+    return dy
 
 
-def _affine_bwd(dy, cache):
-    x, w = cache
-    dx = dy @ w.T
-    dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    return dx, dw, db
+def _record(tape, layer):
+    """The out of an (out, back) `layer`; back goes on `tape` when there is one."""
+    out, back = layer
+    if tape is not None:
+        tape.append(back)
+    return out
+
+
+def _affine(x, params, name, proj=""):
+    """The affine layer with parameters name.W<proj> and name.b<proj>."""
+    wkey, bkey = f"{name}.W{proj}", f"{name}.b{proj}"
+    w = params[wkey]
+
+    def back(dy, grads):
+        grads[wkey] = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+        grads[bkey] = dy.sum(axis=tuple(range(dy.ndim - 1)))
+        return dy @ w.T
+
+    return x @ w + params[bkey], back
 
 
 # cephes' erf, the algorithm of scipy's erf ufunc: x T(x^2) / U(x^2) for
@@ -142,42 +157,40 @@ def _erf(x):
     return out.reshape(x.shape)
 
 
-def _gelu_fwd(x):
+def _gelu(x):
     # x * (0.5 * (1 + erf)) equals 0.5 * x * (1 + erf) bit for bit (a product
-    # with 0.5 is exact); the cdf goes on the tape so backward needs no erf
+    # with 0.5 is exact); back keeps the cdf, so it needs no erf
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    return x * cdf, (x, cdf)
+
+    def back(dy, grads):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        return dy * (cdf + x * pdf)
+
+    return x * cdf, back
 
 
-def _gelu_bwd(dy, cache):
-    x, cdf = cache
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return dy * (cdf + x * pdf)
-
-
-def _norm_fwd(x, gamma, beta, axis):
+def _norm(x, params, name, axis):
     """Normalize x over `axis` (0: batch norm, -1: layer norm) by its own
-    mean and variance, then scale and shift."""
+    mean and variance, then scale by name.g and shift by name.b."""
+    gamma = params[name + ".g"]
     mean = x.mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + _EPS)
     xhat = (x - mean) * inv
-    return gamma * xhat + beta, (xhat, inv, gamma, axis)
 
+    def back(dy, grads):
+        # the statistics were functions of x, so they carry gradient too
+        n = xhat.shape[axis]
+        dxhat = dy * gamma
+        axes = tuple(range(dy.ndim - 1))
+        grads[name + ".g"] = np.sum(dy * xhat, axis=axes)
+        grads[name + ".b"] = np.sum(dy, axis=axes)
+        return (inv / n) * (
+            n * dxhat
+            - np.sum(dxhat, axis=axis, keepdims=True)
+            - xhat * np.sum(dxhat * xhat, axis=axis, keepdims=True)
+        )
 
-def _norm_bwd(dy, cache):
-    # the statistics were functions of x, so they carry gradient too
-    xhat, inv, gamma, axis = cache
-    n = xhat.shape[axis]
-    dxhat = dy * gamma
-    axes = tuple(range(dy.ndim - 1))
-    dgamma = np.sum(dy * xhat, axis=axes)
-    dbeta = np.sum(dy, axis=axes)
-    dx = (inv / n) * (
-        n * dxhat
-        - np.sum(dxhat, axis=axis, keepdims=True)
-        - xhat * np.sum(dxhat * xhat, axis=axis, keepdims=True)
-    )
-    return dx, dgamma, dbeta
+    return gamma * xhat + params[name + ".b"], back
 
 
 def _softmax(z, axis=-1):
@@ -192,7 +205,7 @@ def _softmax(z, axis=-1):
     return q, shifted
 
 
-def _l2norm_fwd(x):
+def _l2norm(x):
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("zero vector reached the normalization layer")
@@ -200,53 +213,44 @@ def _l2norm_fwd(x):
     if not np.all(np.isfinite(norms)):
         # an overflowed norm leaves no direction; x / inf would be a zero row
         unit[~np.isfinite(norms[..., 0])] = np.nan
-    return unit, (unit, norms)
+
+    def back(dy, grads):
+        radial = np.sum(dy * unit, axis=-1, keepdims=True)
+        return (dy - radial * unit) / norms
+
+    return unit, back
 
 
-def _l2norm_bwd(dy, cache):
-    unit, norms = cache
-    radial = np.sum(dy * unit, axis=-1, keepdims=True)
-    return (dy - radial * unit) / norms
-
-
-def _attention_fwd(x, p, prefix, heads):
+def _attention(x, params, name, heads):
     b, t, d = x.shape
     dk = d // heads
+    affines = [_affine(x, params, name, proj) for proj in "qkv"]
     # q, k and v are split into heads: (b, heads, t, dk)
-    qkv, affine = [], {}
-    for name in "qkv":
-        z, affine[name] = _affine_fwd(x, p[f"{prefix}.W{name}"], p[f"{prefix}.b{name}"])
-        qkv.append(z.reshape(b, t, heads, dk).transpose(0, 2, 1, 3))
-    q, k, v = qkv
+    q, k, v = (z.reshape(b, t, heads, dk).transpose(0, 2, 1, 3) for z, _ in affines)
     a = _softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk))[0]
     ctx = (a @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    out, affine["o"] = _affine_fwd(ctx, p[prefix + ".Wo"], p[prefix + ".bo"])
-    return out, (affine, q, k, v, a)
+    out, back_o = _affine(ctx, params, name, "o")
+
+    def back(dy, grads):
+        dctx = back_o(dy, grads).reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
+        da = dctx @ v.transpose(0, 1, 3, 2)
+        dv = a.transpose(0, 1, 3, 2) @ dctx
+        dscores = a * (da - np.sum(da * a, axis=-1, keepdims=True))
+        dscores /= np.sqrt(dk)
+        dqkv = (dscores @ k, dscores.transpose(0, 1, 3, 2) @ q, dv)
+        # x fed all three projections: dx sums their input gradients, q + k + v
+        dx = None
+        for (_, back_z), dz in zip(affines, dqkv):
+            dxz = back_z(dz.transpose(0, 2, 1, 3).reshape(b, t, d), grads)
+            dx = dxz if dx is None else dx + dxz
+        return dx
+
+    return out, back
 
 
-def _attention_bwd(dy, cache, prefix, grads):
-    affine, q, k, v, a = cache
-    b, heads, t, dk = q.shape
-
-    dctx, grads[prefix + ".Wo"], grads[prefix + ".bo"] = _affine_bwd(dy, affine["o"])
-    dctx = dctx.reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
-
-    da = dctx @ v.transpose(0, 1, 3, 2)
-    dv = a.transpose(0, 1, 3, 2) @ dctx
-    dscores = a * (da - np.sum(da * a, axis=-1, keepdims=True))
-    dscores /= np.sqrt(dk)
-    dq = dscores @ k
-    dkk = dscores.transpose(0, 1, 3, 2) @ q
-
-    # x fed all three projections: dx sums their input gradients, q + k + v
-    dx = None
-    for name, dz in zip("qkv", (dq, dkk, dv)):
-        dz = dz.transpose(0, 2, 1, 3).reshape(b, t, heads * dk)
-        dxz, grads[f"{prefix}.W{name}"], grads[f"{prefix}.b{name}"] = _affine_bwd(
-            dz, affine[name]
-        )
-        dx = dxz if dx is None else dx + dxz
-    return dx
+def _residual(h, y, branch):
+    """h + y, where the layers on the tape `branch` made y from h."""
+    return h + y, lambda dy, grads: dy + _backprop(branch, dy, grads)
 
 
 class Encoder:
@@ -312,57 +316,47 @@ class Encoder:
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"expected (batch, {cfg.input_dim}) input, got {x.shape}")
 
-        def push(kind, cache):
-            if tape is not None:
-                tape.append((kind, cache))
-
         h = x
         if cfg.backbone == "mlp":
             for i in range(len(cfg.mlp_widths)):
-                h, c = _affine_fwd(h, params[f"backbone.l{i}.W"], params[f"backbone.l{i}.b"])
-                push(("affine", f"backbone.l{i}"), c)
+                h = _record(tape, _affine(h, params, f"backbone.l{i}"))
                 if i + 1 < len(cfg.mlp_widths):
-                    h, c = _gelu_fwd(h)
-                    push(("gelu", None), c)
-        else:
-            b = h.shape[0]
-            t = cfg.input_dim // cfg.patch_size
-            tokens = h.reshape(b, t, cfg.patch_size)
-            tokens, c = _affine_fwd(
-                tokens, params["backbone.embed.W"], params["backbone.embed.b"]
-            )
-            push(("affine", "backbone.embed"), c)
-            cls = np.broadcast_to(params["backbone.cls"], (b, 1, cfg.width))
-            h = np.concatenate([cls, tokens], axis=1) + params["backbone.pos"]
-            push(("assemble", (b, t)), None)
-            for i in range(cfg.depth):
-                blk = f"backbone.b{i}"
-                # attention sub-block: h <- h + attn(ln(h))
-                push(("res_begin", None), None)
-                y, c = _norm_fwd(h, params[blk + ".ln1.g"], params[blk + ".ln1.b"], -1)
-                push(("norm", blk + ".ln1"), c)
-                y, c = _attention_fwd(y, params, blk + ".attn", cfg.heads)
-                push(("attention", blk + ".attn"), c)
-                push(("res_end", None), None)
-                h = h + y
-                # mlp sub-block: h <- h + mlp(ln(h))
-                push(("res_begin", None), None)
-                y, c = _norm_fwd(h, params[blk + ".ln2.g"], params[blk + ".ln2.b"], -1)
-                push(("norm", blk + ".ln2"), c)
-                y, c = _affine_fwd(y, params[blk + ".mlp.l0.W"], params[blk + ".mlp.l0.b"])
-                push(("affine", blk + ".mlp.l0"), c)
-                y, c = _gelu_fwd(y)
-                push(("gelu", None), c)
-                y, c = _affine_fwd(y, params[blk + ".mlp.l1.W"], params[blk + ".mlp.l1.b"])
-                push(("affine", blk + ".mlp.l1"), c)
-                push(("res_end", None), None)
-                h = h + y
-            h, c = _norm_fwd(h, params["backbone.lnf.g"], params["backbone.lnf.b"], -1)
-            push(("norm", "backbone.lnf"), c)
-            h = h[:, 0, :]
-            push(("take_cls", (b, t + 1, cfg.width)), None)
+                    h = _record(tape, _gelu(h))
+            return h
 
-        return h
+        b = h.shape[0]
+        tokens = _record(tape, _affine(h.reshape(b, -1, cfg.patch_size), params, "backbone.embed"))
+        cls = np.broadcast_to(params["backbone.cls"], (b, 1, cfg.width))
+
+        def embed_back(dy, grads):
+            grads["backbone.pos"] = dy.sum(axis=0)
+            grads["backbone.cls"] = dy[:, 0, :].sum(axis=0)
+            return dy[:, 1:, :]
+
+        h = np.concatenate([cls, tokens], axis=1) + params["backbone.pos"]
+        h = _record(tape, (h, embed_back))
+        for i in range(cfg.depth):
+            blk = f"backbone.b{i}"
+            # attention sub-block: h <- h + attn(ln(h))
+            branch = None if tape is None else []
+            y = _record(branch, _norm(h, params, blk + ".ln1", -1))
+            y = _record(branch, _attention(y, params, blk + ".attn", cfg.heads))
+            h = _record(tape, _residual(h, y, branch))
+            # mlp sub-block: h <- h + mlp(ln(h))
+            branch = None if tape is None else []
+            y = _record(branch, _norm(h, params, blk + ".ln2", -1))
+            y = _record(branch, _affine(y, params, blk + ".mlp.l0"))
+            y = _record(branch, _gelu(y))
+            y = _record(branch, _affine(y, params, blk + ".mlp.l1"))
+            h = _record(tape, _residual(h, y, branch))
+        h = _record(tape, _norm(h, params, "backbone.lnf", -1))
+
+        def take_cls_back(dy, grads):
+            full = np.zeros(h.shape)
+            full[:, 0, :] = dy
+            return full
+
+        return _record(tape, (h[:, 0, :], take_cls_back))
 
     def forward(self, params: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """Batched forward. Returns (pre_projection, projected, tape). Each head
@@ -372,16 +366,11 @@ class Encoder:
         axis = 0 if self.cfg.head_norm == "batch" else -1
         pre = h = self.features(params, x, tape)
         for i in range(3):
-            h, c = _affine_fwd(h, params[f"head.l{i}.W"], params[f"head.l{i}.b"])
-            tape.append((("affine", f"head.l{i}"), c))
+            h = _record(tape, _affine(h, params, f"head.l{i}"))
             if i < 2:
-                h, c = _norm_fwd(h, params[f"head.n{i}.g"], params[f"head.n{i}.b"], axis)
-                tape.append((("norm", f"head.n{i}"), c))
-                h, c = _gelu_fwd(h)
-                tape.append((("gelu", None), c))
-        proj, c = _l2norm_fwd(h)
-        tape.append((("l2norm", None), c))
-        return pre, proj, tape
+                h = _record(tape, _norm(h, params, f"head.n{i}", axis))
+                h = _record(tape, _gelu(h))
+        return pre, _record(tape, _l2norm(h)), tape
 
     def backward(
         self, params: dict, tape: list, grad_projected: np.ndarray
@@ -389,35 +378,6 @@ class Encoder:
         """Exact gradients of all parameters given d(loss)/d(projected), from
         the tape of `forward`; each is written once."""
         grads: dict[str, np.ndarray] = {}
-        dy = np.asarray(grad_projected, dtype=float)
-        skip: list[np.ndarray] = []
-        for (kind, name), cache in reversed(tape):
-            if kind == "l2norm":
-                dy = _l2norm_bwd(dy, cache)
-            elif kind == "affine":
-                dy, grads[name + ".W"], grads[name + ".b"] = _affine_bwd(dy, cache)
-            elif kind == "gelu":
-                dy = _gelu_bwd(dy, cache)
-            elif kind == "norm":
-                dy, grads[name + ".g"], grads[name + ".b"] = _norm_bwd(dy, cache)
-            elif kind == "attention":
-                dy = _attention_bwd(dy, cache, name, grads)
-            elif kind == "res_end":
-                # upstream gradient feeds both the branch and the skip path
-                skip.append(dy)
-            elif kind == "res_begin":
-                dy = dy + skip.pop()
-            elif kind == "take_cls":
-                b, t1, w = name
-                full = np.zeros((b, t1, w))
-                full[:, 0, :] = dy
-                dy = full
-            elif kind == "assemble":
-                b, t = name
-                grads["backbone.pos"] = dy.sum(axis=0)
-                grads["backbone.cls"] = dy[:, 0, :].sum(axis=0)
-                dy = dy[:, 1:, :]
-            else:
-                raise AssertionError(f"unknown tape entry {kind}")
+        _backprop(tape, np.asarray(grad_projected, dtype=float), grads)
         # in params order: the trainer's gradient norm sums in this order
         return {k: grads[k] for k in params}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import _l2norm_bwd, _l2norm_fwd, _softmax
+from .encoder import _l2norm, _softmax
 
 __all__ = [
     "EmbeddingBatch",
@@ -137,7 +137,7 @@ def multi_positive_loss(
     """
     tau = _check_tau(tau)
     if normalize:
-        e, cache = _l2norm_fwd(batch.embeddings)
+        e, l2norm_back = _l2norm(batch.embeddings)
     else:
         batch.validate()
         e = batch.embeddings
@@ -146,7 +146,7 @@ def multi_positive_loss(
     loss, grad_a, grad_c = _softmax_ce(e, e, p, tau, self_mask=True)
     grad = grad_a + grad_c
     if normalize:
-        grad = _l2norm_bwd(grad, cache)
+        grad = l2norm_back(grad, {})
     return LossOutput(loss=loss, grad_embeddings=grad)
 
 

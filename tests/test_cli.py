@@ -411,6 +411,38 @@ def test_probe_checkpoint_with_non_object_encoder_is_json_error(
     assert bad in error and "meta field 'train_config' is invalid" in error
 
 
+def test_probe_checkpoint_too_large_to_allocate_is_json_error(
+    workdir, generated, eval_generated, trained, capsys, tmp_path
+):
+    # a (4, 2**45) first weight: 1 PiB, above the 128 TiB a process can map,
+    # so the allocation fails at once without touching memory
+    _, error = _probe_edited_checkpoint(
+        workdir[1], generated, eval_generated, trained, capsys, tmp_path,
+        lambda header: header["meta"]["train_config"]["encoder"].update(mlp_widths=[2**45, 8]),
+    )
+    assert error
+
+
+def test_probe_manifest_too_large_to_allocate_is_json_error(
+    workdir, generated, eval_generated, capsys, tmp_path
+):
+    root, cfg = workdir
+    lines = open(os.path.join(generated, "manifest.jsonl")).read().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["feature_dim"] = 2**45  # 24 rows of it: 6 PiB
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(
+        ["probe", "--config", cfg, "--seed", "5", "--data", str(bad),
+         "--eval-data", os.path.join(eval_generated, "manifest.jsonl"), "--out", out]
+    )
+    assert code == 1
+    assert _single_json_error(capsys, "probe")
+    assert not os.path.exists(out)
+
+
 def test_probe_checkpoint_of_another_format_is_json_error(
     workdir, generated, eval_generated, trained, capsys, tmp_path
 ):
@@ -1338,6 +1370,53 @@ def test_report_axis_that_breaks_a_csv_row_is_json_error(capsys, tmp_path, axis)
     assert code == 1
     assert _single_json_error(capsys, "report").startswith(f"--axis {axis!r} holds")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("kind", "probe, v2"), ("dataset_id", "a\nb"), ("checkpoint_id", 'say "x"')]
+)
+def test_report_field_that_breaks_a_csv_row_is_json_error(capsys, tmp_path, field, value):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(
+        {"kind": "linear_probe", "accuracy": 0.5, "ci95": 0.1, "count": 4, field: value}
+    ))
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["report", "--inputs", str(path), "--format", "csv", "--out", out])
+    assert code == 1
+    error = _single_json_error(capsys, "report")
+    assert error.startswith(f"{path}: report field {field!r} value {value!r} holds")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flag, text", [("--title", "a\x01b"), ("--axis", "m\x1f"), ("--title", "\ufffe")]
+)
+def test_report_title_or_axis_that_xml_forbids_is_json_error(capsys, tmp_path, flag, text):
+    inputs = _axis_reports(tmp_path, ["2", "4"])
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["report", "--inputs", inputs, "--format", "svg", flag, text, "--out", out])
+    assert code == 1
+    assert _single_json_error(capsys, "report").startswith(f"{flag} {text!r} holds")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_report_takes_a_non_finite_axis_value_for_no_number(capsys, tmp_path, value):
+    inputs = _axis_reports(tmp_path, ["2", value])
+    out = str(tmp_path / "rendered")
+    assert main(["report", "--inputs", inputs, "--format", "csv", "--axis", "w",
+                 "--out", out]) == 0
+    rows = open(os.path.join(out, "report.csv")).read().splitlines()[2:]
+    assert [row.split(",")[1:3] for row in rows] == [["w", "2"], ["w", ""]]
+    never = str(tmp_path / "never")
+    capsys.readouterr()
+    code = main(["report", "--inputs", inputs, "--format", "svg", "--values", f"1,{value}",
+                 "--out", never])
+    assert code == 1
+    assert _single_json_error(capsys, "report") == f"--values entry {value!r} is not a number"
+    assert not os.path.exists(never)
 
 
 def test_report_svg_escapes_its_title_and_axis(tmp_path):

@@ -384,12 +384,18 @@ def _traced_peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def test_encode_dataset_runs_only_the_backbone_within_6_mb():
-    # the whole head in eval mode, with its tape, traced 20.3 MB here
-    enc = Encoder(EncoderConfig())
+@pytest.mark.parametrize(
+    "backbone, bound_mb",
+    # mlp: the whole head in eval mode, with its tape, traced 20.3 MB;
+    # transformer: its backbone traced 38-39 MB without a tape, 144 MB with one
+    [("mlp", 6.0), ("transformer", 60.0)],
+    ids=["mlp", "transformer"],
+)
+def test_encode_dataset_runs_only_the_backbone_without_a_tape(backbone, bound_mb):
+    enc = Encoder(EncoderConfig(backbone=backbone))
     params = enc.init_params(0)
     x = np.random.default_rng(5).standard_normal((1000, 32))
-    assert _traced_peak_mb(encode_dataset, x, enc, params) < 6.0
+    assert _traced_peak_mb(encode_dataset, x, enc, params) < bound_mb
 
 
 def test_linear_probe_at_sweep_shape_within_10_mb():
