@@ -521,9 +521,8 @@ def _set_positives(train: dict, m: int) -> int:
 
 
 def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
-    """Resolve one sweep cell into (config, numeric axis value, TrainConfig);
-    the value is "" for a named guidance group. A value that makes no valid
-    generator or train config fails here, before any cell trains."""
+    """Resolve one sweep cell into (config, TrainConfig). A value that makes
+    no valid generator or train config fails here, before any cell trains."""
     cell = json.loads(json.dumps(cfg))
     group = axis == "w" and raw_value in GUIDANCE_GROUPS
     kind, what = (float, "a number") if axis == "w" else (int, "an integer")
@@ -556,7 +555,7 @@ def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
         tcfg = _train_config(cell, GeneratorConfig(**cell["generator"]).feature_dim, seed)
     except (CliError, ValueError) as exc:
         raise CliError(f"sweep axis {axis!r} value {raw_value!r}: {exc}") from None
-    return cell, value if group else float(value), tcfg
+    return cell, tcfg
 
 
 # the file suffix of each report format
@@ -578,7 +577,7 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
     shared_manifest = None
     if ns.axis in ("m", "epochs"):
         shared_manifest, _ = _build_manifest(cfg, seed)
-        for raw, (_, _, tcfg) in zip(values, cells):
+        for raw, (_, tcfg) in zip(values, cells):
             try:
                 Trainer(shared_manifest, tcfg)  # checks the batches against the data
             except ValueError as exc:
@@ -586,7 +585,7 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
         write_manifest(shared_manifest, staging.path("dataset", "manifest.jsonl"))
 
     reports = []
-    for raw, (cell, _, tcfg) in zip(values, cells):
+    for raw, (cell, tcfg) in zip(values, cells):
         label = f"{ns.axis}_{raw}"
         if shared_manifest is not None:
             manifest = shared_manifest
@@ -614,7 +613,7 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
         reports.append(report)
 
     # a named guidance group has no numeric axis value, so no plot
-    axis_values = [value for _, value, _ in cells]
+    axis_values = [_axis_value(raw) for raw in values]
     for fmt in ("csv", "table") if "" in axis_values else ("csv", "table", "svg"):
         emit_report(
             reports, fmt, staging.path(f"summary.{_SUFFIXES[fmt]}"),
@@ -626,9 +625,10 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
 
 
 def _axis_value(value):
-    """A sweep axis value as a float, or "" (a blank cell) if it is no finite number."""
+    """A sweep axis value as a float, or "" (a blank cell) if it is no finite
+    number; a JSON boolean is none, as in every config."""
     try:
-        number = float(value)
+        number = float(_of_type(str, int, float)(value))
     except (TypeError, ValueError):
         return ""
     return number if np.isfinite(number) else ""

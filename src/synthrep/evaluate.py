@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .encoder import Encoder, _softmax
-from .manifest import _of_type, _read_field, _read_text
+from .manifest import _read_rows, _read_text
 from .seeding import SALT_EVAL, _check_numbers, rng_from
 
 __all__ = [
@@ -432,41 +432,16 @@ def encode_dataset(
     return np.concatenate(out, axis=0)
 
 
-def _int64(value) -> int:
-    return int(np.int64(_of_type(int)(value)))
-
-
-def _feature_row(value) -> np.ndarray:
-    # JSON types are checked as read_manifest checks them: numpy would
-    # coerce "0.5" or true unseen
-    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
-        raise TypeError("expected a list of JSON numbers")
-    return np.array(value, dtype=float)
-
-
 def load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sample_ids, class_ids, features) from a file of one JSON object per
     line, {"sample_id": int, "class_id": int, "feature": [float, ...]}.
 
-    A line that is not such an object, or whose feature length differs from
-    the first line's, raises a ValueError naming the file, line and field.
+    A line that is not such an object, whose feature length differs from the
+    first line's or whose feature holds a non-finite entry raises a
+    ValueError naming the file, line and field (see manifest._read_rows).
     """
-    sample_ids, class_ids, rows = [], [], []
-    for lineno, rec in _read_text(path, "records"):
-        where = f"line {lineno}"
-        sample_ids.append(_read_field(rec, "sample_id", _int64, path, where))
-        class_ids.append(_read_field(rec, "class_id", _int64, path, where))
-        row = _read_field(rec, "feature", _feature_row, path, where)
-        if rows and row.size != rows[0].size:
-            raise ValueError(
-                f"{path}: {where} field 'feature' has length {row.size}, "
-                f"expected {rows[0].size}"
-            )
-        rows.append(row)
-    if not rows:
+    records = _read_text(path, "records")
+    if not records:
         raise ValueError(f"{path}: no feature records")
-    return (
-        np.array(sample_ids, dtype=np.int64),
-        np.array(class_ids, dtype=np.int64),
-        np.array(rows),
-    )
+    columns, features = _read_rows(path, records, {"sample_id": np.int64, "class_id": np.int64})
+    return columns["sample_id"], columns["class_id"], features

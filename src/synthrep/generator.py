@@ -276,6 +276,8 @@ def generate_dataset(
         raise ValueError("caption_ids must be unique")
     if guidance_scales is not None and len(guidance_scales) == 0:
         raise ValueError("guidance_scales must be non-empty when given")
+    if guidance_scales is not None and not all(np.isfinite(w) and w >= 0 for w in guidance_scales):
+        raise ValueError(f"guidance_scales must be finite and >= 0, not {list(guidance_scales)!r}")
 
     l = images_per_caption
     latent_seeds = []

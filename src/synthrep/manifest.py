@@ -50,6 +50,17 @@ def _config_hash(cfg: GeneratorConfig, master_seed: int) -> str:
     return json_digest({"config": asdict(cfg), "master_seed": int(master_seed)})
 
 
+# a manifest row's fields and their dtypes, in the order each row is written;
+# the column of a field is the DatasetManifest attribute of its plural name
+_ROW_FIELDS = {
+    "caption_id": np.int64,
+    "class_id": np.int64,
+    "prompt_seed": np.uint64,
+    "latent_seed": np.uint64,
+    "guidance_scale": np.float64,
+}
+
+
 def _sampler(value):
     if value not in ("ddim", "direct"):
         raise ValueError(f"unknown sampler {value!r}")
@@ -73,13 +84,7 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         _sampler(self.sampler)
         n = self.features.shape[0]
-        for name in (
-            "caption_ids",
-            "class_ids",
-            "prompt_seeds",
-            "latent_seeds",
-            "guidance_scales",
-        ):
+        for name in (f"{field}s" for field in _ROW_FIELDS):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
@@ -91,26 +96,6 @@ class DatasetManifest:
     @property
     def num_samples(self) -> int:
         return int(self.features.shape[0])
-
-    @property
-    def unique_caption_ids(self) -> np.ndarray:
-        # preserve first-appearance order rather than sorting
-        _, first = np.unique(self.caption_ids, return_index=True)
-        return self.caption_ids[np.sort(first)]
-
-    def prompt_for(self, caption_id: int):
-        """Reconstruct the PromptSpec of a caption from its stored seed."""
-        from .generator import PromptSpec
-
-        rows = np.flatnonzero(self.caption_ids == caption_id)
-        if rows.size == 0:
-            raise KeyError(f"caption_id {caption_id} not in manifest")
-        row = rows[0]
-        return PromptSpec(
-            caption_id=int(caption_id),
-            class_id=int(self.class_ids[row]),
-            prompt_seed=int(self.prompt_seeds[row]),
-        )
 
     def hash(self) -> str:
         """Content hash covering config, seed, sampler, and every row."""
@@ -144,8 +129,7 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         + ",".join(["%.17g"] * manifest.features.shape[1])
         + "]}\n"
     )
-    names = ("caption_ids", "class_ids", "prompt_seeds", "latent_seeds", "guidance_scales")
-    columns = zip(*(getattr(manifest, name).tolist() for name in names))
+    columns = zip(*(getattr(manifest, f"{field}s").tolist() for field in _ROW_FIELDS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(row % (*cols, *x.tolist()) for cols, x in zip(columns, manifest.features))
@@ -226,6 +210,45 @@ def _of_type(*types):
     return convert
 
 
+def _read_rows(path: str, records: list, columns: dict, width: int | None = None):
+    """The records [(line number, object)] of a manifest or a feature file as
+    ({field: array} for each field -> dtype of `columns`, (N, width) float
+    array of their "feature" lists); width None takes the first record's. A
+    missing field, a wrong JSON type, a value out of its dtype's range, a
+    feature of another length and a non-finite entry each raise a ValueError
+    naming the file, line and field."""
+    # JSON types are checked: numpy would coerce "0", 0.9 or true unseen
+    integer, number = _of_type(int), _of_type(int, float)
+    out = {name: np.empty(len(records), dtype) for name, dtype in columns.items()}
+    features = None if width is None else np.empty((len(records), width))
+    for i, (lineno, rec) in enumerate(records):
+        try:
+            for name, column in out.items():
+                column[i] = (number if column.dtype.kind == "f" else integer)(rec[name])
+            name = "feature"  # the field being read when an error is raised
+            row = rec[name]
+            if not isinstance(row, list) or not set(map(type, row)) <= {int, float}:
+                raise TypeError("expected a list of JSON numbers")
+            if features is None:
+                width = len(row)
+                features = np.empty((len(records), width))
+            if len(row) == width:  # else refused below, with both lengths
+                features[i] = row
+        except KeyError:
+            raise ValueError(f"{path}: line {lineno} has no field {name!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: line {lineno} field {name!r} is invalid: {exc}") from None
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: line {lineno} field 'feature' has length {len(row)}, expected {width}"
+            )
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        where = f"line {records[np.argmin(finite)][0]}"
+        raise ValueError(f"{path}: {where} field 'feature' is invalid: entries must be finite")
+    return out, features
+
+
 def read_manifest(path: str) -> DatasetManifest:
     records = _read_text(path, "records")
     if not records:
@@ -243,40 +266,11 @@ def read_manifest(path: str) -> DatasetManifest:
     if len(records) != n:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
 
-    features = np.empty((n, cfg.feature_dim))
-    # JSON types are checked: numpy would coerce "0", 0.9 or true unseen
-    integer, number = _of_type(int), _of_type(int, float)
-    columns = {
-        "caption_id": np.empty(n, dtype=np.int64),
-        "class_id": np.empty(n, dtype=np.int64),
-        "prompt_seed": np.empty(n, dtype=np.uint64),
-        "latent_seed": np.empty(n, dtype=np.uint64),
-        "guidance_scale": np.empty(n),
-    }
-    for i, (lineno, rec) in enumerate(records):
-        name = "feature"  # the field being read when an error is raised
-        try:
-            feature = rec[name]
-            if len(feature) != cfg.feature_dim:
-                raise ValueError(f"length {len(feature)}, expected {cfg.feature_dim}")
-            if not set(map(type, feature)) <= {int, float}:
-                raise TypeError("every entry must be a JSON number")
-            features[i] = feature
-            for name, column in columns.items():
-                column[i] = (number if column.dtype.kind == "f" else integer)(rec[name])
-        except KeyError:
-            raise ValueError(f"{path}: line {lineno} has no field {name!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: line {lineno} field {name!r} is invalid: {exc}") from None
-
+    columns, features = _read_rows(path, records, _ROW_FIELDS, cfg.feature_dim)
     manifest = DatasetManifest(
         config=cfg,
         master_seed=master_seed,
-        caption_ids=columns["caption_id"],
-        class_ids=columns["class_id"],
-        prompt_seeds=columns["prompt_seed"],
-        latent_seeds=columns["latent_seed"],
-        guidance_scales=columns["guidance_scale"],
+        **{f"{field}s": column for field, column in columns.items()},
         features=features,
         sampler=sampler,
     )

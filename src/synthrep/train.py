@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import BatchSpec, augment_batch, sample_batch
 from .encoder import Encoder, EncoderConfig
-from .generator import caption_to_component
+from .generator import PromptSpec, caption_to_component
 from .losses import EmbeddingBatch, multi_positive_loss, pair_contrastive_loss
 from .manifest import (
     DatasetManifest,
@@ -252,7 +252,16 @@ class Trainer:
         if cfg.uses_text and cfg.text_encoder.input_dim != manifest.config.feature_dim:
             raise ValueError("text encoder input_dim must match manifest feature_dim")
 
-        self.captions = manifest.unique_caption_ids
+        if manifest.num_samples == 0:
+            raise ValueError("the manifest holds no samples")
+        # the caption index: each caption's rows in manifest order (the
+        # argsort is stable), and the captions in first-appearance order
+        order = np.argsort(manifest.caption_ids, kind="stable")
+        ids = manifest.caption_ids[order]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        self.caption_rows = dict(zip(ids[starts].tolist(), np.split(order, starts[1:])))
+        first_rows = np.sort(order[starts])
+        self.captions = manifest.caption_ids[first_rows]
         n_caps = self.captions.size
         n = cfg.batch_spec.num_captions
         m = cfg.batch_spec.samples_per_caption
@@ -262,16 +271,17 @@ class Trainer:
         self.total_steps = 2 * cfg.epochs * n_caps // (n * m)
         self.steps_per_pass = n_caps // n
         self.steps_per_epoch = self.total_steps / cfg.epochs
-        # caption id -> its rows in manifest order (the argsort is stable)
-        order = np.argsort(manifest.caption_ids, kind="stable")
-        ids = manifest.caption_ids[order]
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        self.caption_rows = dict(zip(ids[starts].tolist(), np.split(order, starts[1:])))
         fewest = min(rows.size for rows in self.caption_rows.values())
         if cfg.loss_variant != "simclr_reduction" and fewest < m:
             raise ValueError(f"batches take {m} samples per caption; a caption has {fewest}")
+        # in the text variants, each caption's text input: the conditional
+        # mean of the prompt that its first row records
+        self.text_inputs = {}
+        for row in first_rows.tolist() if cfg.uses_text else ():
+            cid = int(manifest.caption_ids[row])
+            prompt = PromptSpec(cid, int(manifest.class_ids[row]), int(manifest.prompt_seeds[row]))
+            self.text_inputs[cid] = caption_to_component(prompt, manifest.config)[0]
         self._perm_cache: tuple[int, np.ndarray] | None = None
-        self._text_cache: dict[int, np.ndarray] = {}
         # parameter key -> two arrays of its shape for the gradient norm and
         # AdamW's intermediates; kept across steps, so that a step does not
         # free and fault back in megabytes of temporaries
@@ -292,13 +302,6 @@ class Trainer:
         n = self.cfg.batch_spec.num_captions
         return self._perm_cache[1][offset * n : (offset + 1) * n]
 
-    def _text_input(self, caption_id: int) -> np.ndarray:
-        if caption_id not in self._text_cache:
-            prompt = self.manifest.prompt_for(caption_id)
-            mean, _ = caption_to_component(prompt, self.manifest.config)
-            self._text_cache[caption_id] = mean
-        return self._text_cache[caption_id]
-
     def assemble(self, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(features, caption ids, text inputs or None) of a step's caption-major
         batch; a pure function of (seed, step)."""
@@ -314,7 +317,7 @@ class Trainer:
         feats = augment_batch(self.manifest.features[rows], cfg.augment_strength, step_seed)
         texts = None
         if cfg.uses_text:
-            texts = np.stack([self._text_input(int(c)) for c in cids])
+            texts = np.stack([self.text_inputs[c] for c in cids.tolist()])
         return feats, np.repeat(cids, m), texts
 
     # -- one optimization step ---------------------------------------------------

@@ -137,7 +137,7 @@ def test_set_overrides(workdir, capsys):
     assert code == 0
     man = read_manifest(os.path.join(out, "manifest.jsonl"))
     assert man.config.feature_dim == 6
-    assert man.unique_caption_ids.size == 4
+    assert np.unique(man.caption_ids).size == 4
 
     assert main(["generate", "--config", cfg, "--set", "nodelimiter", "--out", out]) == 1
     err = json.loads(capsys.readouterr().err.strip())
@@ -560,6 +560,11 @@ def _inputs(command, generated, eval_generated):
         ("generate", 'data.num_captions="4"', "'data.num_captions' is invalid"),
         ("probe", 'probe.val_fraction="0.3"', "'probe.val_fraction' is invalid"),
         ("generate", 'data.guidance_scales=[2, "4"]', "'data.guidance_scales' is invalid"),
+        # refused as generator.guidance_scale is: -3 was written into every
+        # row, and NaN or inf failed in the sampler naming no key
+        ("generate", "data.guidance_scales=[-3]", "guidance_scales must be finite and >= 0"),
+        ("generate", "data.guidance_scales=[2, NaN]", "guidance_scales must be finite and >= 0"),
+        ("generate", "data.guidance_scales=[Infinity]", "guidance_scales must be finite and >= 0"),
         ("probe", "probe.max_iteration=1", "unknown config key 'probe.max_iteration'"),
         ("fewshot", "fewshot.max_iterations=0", "unknown config key 'fewshot.max_iterations'"),
         ("generate", "foo.bar=1", "unknown config key 'foo'"),
@@ -700,6 +705,25 @@ def test_fewshot_non_finite_features_are_json_error(workdir, generated, capsys, 
     code = main(["fewshot", "--config", cfg, "--features", str(feats), "--out", out])
     assert code == 1
     assert "finite" in _single_json_error(capsys, "fewshot")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train", "probe"])
+def test_non_finite_manifest_feature_names_file_and_line(
+    workdir, generated, eval_generated, capsys, tmp_path, command
+):
+    _, cfg = workdir
+    lines = open(os.path.join(generated, "manifest.jsonl")).read().splitlines()
+    rec = json.loads(lines[2])
+    rec["feature"][1] = float("nan")  # json.dumps writes NaN, which JSON readers take
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text("\n".join([*lines[:2], json.dumps(rec), *lines[3:]]) + "\n")
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    inputs = _inputs(command, str(tmp_path), eval_generated)
+    assert main([command, "--config", cfg, *inputs, "--out", out]) == 1
+    error = _single_json_error(capsys, command)
+    assert error == f"{bad}: line 3 field 'feature' is invalid: entries must be finite"
     assert not os.path.exists(out)
 
 
@@ -1016,6 +1040,8 @@ def test_fewshot_without_data_or_features_is_json_error(workdir, capsys, tmp_pat
         ({"sample_id": 0, "class_id": 0, "feature": [1.0]}, "field 'feature' has length 1"),
         ({"sample_id": 0, "class_id": 0, "feature": ["0.5", True, 1.0, 2.0]},
          "field 'feature' is invalid: expected a list of JSON numbers"),
+        ({"sample_id": 0, "class_id": 0, "feature": [1.0, float("inf"), 2.0, 3.0]},
+         "field 'feature' is invalid: entries must be finite"),
     ],
 )
 def test_probe_bad_feature_record_is_json_error(
@@ -1227,7 +1253,7 @@ def test_sweep_l_splits_a_fixed_budget(workdir):
     ):
         man = read_manifest(os.path.join(out, label, "manifest.jsonl"))
         assert man.num_samples == 24
-        assert man.unique_caption_ids.size == captions
+        assert np.unique(man.caption_ids).size == captions
         tcfg, _, _ = load_checkpoint(os.path.join(out, label, "train", "checkpoint.bin"))
         assert tcfg.loss_variant == variant
         assert tcfg.batch_spec.samples_per_caption == m
@@ -1417,6 +1443,16 @@ def test_report_takes_a_non_finite_axis_value_for_no_number(capsys, tmp_path, va
     assert code == 1
     assert _single_json_error(capsys, "report") == f"--values entry {value!r} is not a number"
     assert not os.path.exists(never)
+
+
+def test_report_renders_a_stored_boolean_value_blank(tmp_path):
+    # a JSON boolean is no number, as every config reader holds
+    inputs = _axis_reports(tmp_path, ["2", True])
+    out = str(tmp_path / "rendered")
+    assert main(["report", "--inputs", inputs, "--format", "csv", "--axis", "w",
+                 "--out", out]) == 0
+    rows = open(os.path.join(out, "report.csv")).read().splitlines()[2:]
+    assert [row.split(",")[1:3] for row in rows] == [["w", "2"], ["w", ""]]
 
 
 def test_report_svg_escapes_its_title_and_axis(tmp_path):

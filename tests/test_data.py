@@ -25,8 +25,13 @@ def toy_manifest(num_captions=8, per_caption=5):
     return generate_dataset([r.prompt for r in recs], per_caption, cfg, seed=2)
 
 
+def caption_order(man):
+    """The manifest's caption ids in first-appearance order."""
+    return np.array(list(dict.fromkeys(man.caption_ids.tolist())))
+
+
 def rows_by_caption(man):
-    return {int(c): np.flatnonzero(man.caption_ids == c) for c in man.unique_caption_ids}
+    return {int(c): np.flatnonzero(man.caption_ids == c) for c in caption_order(man)}
 
 
 def test_normalize_text():
@@ -128,7 +133,7 @@ def test_augment_batch_matches_elementwise_structure():
 def test_sample_batch_shapes_and_membership():
     man = toy_manifest()
     table = rows_by_caption(man)
-    cids = man.unique_caption_ids[[6, 1, 3, 0]]
+    cids = caption_order(man)[[6, 1, 3, 0]]
     rows = sample_batch(table, cids, 3, seed=21)
     assert rows.shape == (12,)
     # caption-major: three distinct rows of each caption, in the given order
@@ -140,7 +145,7 @@ def test_sample_batch_shapes_and_membership():
 def test_sample_batch_deterministic_and_seed_sensitive():
     man = toy_manifest()
     table = rows_by_caption(man)
-    cids = man.unique_caption_ids[:3]
+    cids = caption_order(man)[:3]
     r1 = sample_batch(table, cids, 2, seed=33)
     np.testing.assert_array_equal(r1, sample_batch(table, cids, 2, seed=33))
     assert not np.array_equal(r1, sample_batch(table, cids, 2, seed=34))
@@ -150,7 +155,7 @@ def test_sample_batch_explicit_caption_walk():
     # rows follow the caption order they are given
     man = toy_manifest()
     table = rows_by_caption(man)
-    want = man.unique_caption_ids[[5, 0, 2]]
+    want = caption_order(man)[[5, 0, 2]]
     rows = sample_batch(table, want, 2, seed=1)
     np.testing.assert_array_equal(man.caption_ids[rows][::2], want)
     again = sample_batch(table, want[[1, 0, 2]], 2, seed=1)
@@ -160,7 +165,7 @@ def test_sample_batch_explicit_caption_walk():
 def test_sample_batch_requires_enough_samples():
     man = toy_manifest(per_caption=2)
     with pytest.raises(ValueError):
-        sample_batch(rows_by_caption(man), man.unique_caption_ids[:2], 3, seed=0)
+        sample_batch(rows_by_caption(man), caption_order(man)[:2], 3, seed=0)
     cfg = TrainConfig(
         batch_spec=BatchSpec(2, 3),
         epochs=3,

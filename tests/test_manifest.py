@@ -127,26 +127,6 @@ def test_config_hash_ignores_key_order():
     assert h1 != _config_hash(cfg, 8)
 
 
-def test_unique_caption_ids_preserve_order():
-    man = make_manifest()
-    ids = man.unique_caption_ids
-    assert list(ids) == sorted(set(man.caption_ids.tolist()), key=list(man.caption_ids).index)
-    assert ids.size == 6
-
-
-def test_rows_and_prompt_accessors():
-    man = make_manifest()
-    cid = int(man.unique_caption_ids[2])
-    rows = np.flatnonzero(man.caption_ids == cid)
-    assert len(rows) == 4
-    prompt = man.prompt_for(cid)
-    assert prompt.caption_id == cid
-    assert prompt.class_id == man.class_ids[rows[0]]
-    assert prompt.prompt_seed == man.prompt_seeds[rows[0]]
-    with pytest.raises(KeyError):
-        man.prompt_for(10_000)
-
-
 def test_read_rejects_corrupt_header(tmp_path):
     man = make_manifest()
     p = tmp_path / "m.jsonl"

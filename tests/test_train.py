@@ -10,7 +10,12 @@ import pytest
 
 from synthrep.data import BatchSpec
 from synthrep.encoder import EncoderConfig
-from synthrep.generator import GeneratorConfig, caption_to_component, generate_dataset
+from synthrep.generator import (
+    GeneratorConfig,
+    PromptSpec,
+    caption_to_component,
+    generate_dataset,
+)
 from synthrep.data import synth_captions
 from synthrep.train import (
     TrainConfig,
@@ -25,7 +30,7 @@ from synthrep.train import (
     sub_params,
     write_metrics,
 )
-from synthrep.manifest import json_digest
+from synthrep.manifest import DatasetManifest, json_digest
 
 
 def toy_manifest(num_captions=8, per_caption=3, dim=4, seed=2):
@@ -229,7 +234,7 @@ def test_caption_slices_partition_each_pass():
                 for o in range(trainer.steps_per_pass)
             ]
         )
-        assert sorted(seen) == sorted(man.unique_caption_ids)
+        assert sorted(seen) == sorted(set(man.caption_ids.tolist()))
 
 
 def test_training_replay_is_bitwise_deterministic():
@@ -267,9 +272,57 @@ def test_text_inputs_are_conditional_means():
     _, ids, texts = trainer.assemble(0)
     cids = ids[:: cfg.batch_spec.samples_per_caption]
     assert texts.shape == (4, 4)
+    prompts = {r.prompt.caption_id: r.prompt for r in synth_captions(8, 3, seed=1)}
     for row, cid in zip(texts, cids):
-        mean, _ = caption_to_component(man.prompt_for(int(cid)), man.config)
+        mean, _ = caption_to_component(prompts[int(cid)], man.config)
         np.testing.assert_array_equal(row, mean)
+
+
+def test_caption_index_keeps_first_appearance_order():
+    # captions first appear as 5, 2, 9, 4, and their rows interleave
+    gcfg = GeneratorConfig(feature_dim=4, num_classes=3, ddim_steps=5)
+    prompts = {c: PromptSpec(c, c % 3, 1000 + c) for c in (5, 2, 9, 4)}
+    caption_ids = np.array([5, 2, 5, 9, 2, 9, 4, 5, 4, 2, 9, 4])
+    man = DatasetManifest(
+        config=gcfg,
+        master_seed=0,
+        caption_ids=caption_ids,
+        class_ids=np.array([prompts[c].class_id for c in caption_ids]),
+        prompt_seeds=np.array([prompts[c].prompt_seed for c in caption_ids], dtype=np.uint64),
+        latent_seeds=np.arange(12, dtype=np.uint64),
+        guidance_scales=np.ones(12),
+        features=np.random.default_rng(0).standard_normal((12, 4)),
+    )
+    cfg = tiny_cfg(
+        batch_spec=BatchSpec(2, 2),
+        loss_variant="multi_positive_text",
+        text_encoder=text_encoder_cfg(),
+    )
+    trainer = Trainer(man, cfg)
+    assert trainer.captions.tolist() == [5, 2, 9, 4]
+    assert trainer.caption_rows[5].tolist() == [0, 2, 7]
+    for step in range(trainer.steps_per_pass):
+        _, ids, texts = trainer.assemble(step)
+        for row, cid in zip(texts, ids[::2]):
+            mean, _ = caption_to_component(prompts[int(cid)], gcfg)
+            np.testing.assert_array_equal(row, mean)
+
+
+def test_trainer_refuses_a_manifest_without_samples():
+    # a library caller may build one; its caption index would be empty
+    none = np.zeros(0, dtype=np.int64)
+    man = DatasetManifest(
+        config=GeneratorConfig(feature_dim=4, num_classes=3, ddim_steps=5),
+        master_seed=0,
+        caption_ids=none,
+        class_ids=none,
+        prompt_seeds=none.astype(np.uint64),
+        latent_seeds=none.astype(np.uint64),
+        guidance_scales=np.zeros(0),
+        features=np.zeros((0, 4)),
+    )
+    with pytest.raises(ValueError, match="^the manifest holds no samples$"):
+        Trainer(man, tiny_cfg())
 
 
 def test_text_variants_train_without_error():
