@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import platform
-import re
 import shutil
 import sys
 import tempfile
@@ -30,7 +29,6 @@ from .data import dedup_captions, load_captions, split_budget, synth_captions
 from .encoder import Encoder, EncoderConfig
 from .evaluate import (
     EpisodeSpec,
-    EvalReport,
     ProbeConfig,
     encode_dataset,
     fewshot_eval,
@@ -40,15 +38,16 @@ from .evaluate import (
 )
 from .generator import GeneratorConfig, generate_dataset
 from .manifest import (
+    _number,
     _of_type,
-    _read_field,
     _read_text,
+    _write_lines,
     canonical_json,
     json_digest,
     read_manifest,
     write_manifest,
 )
-from .report import emit_report
+from .report import _SUFFIXES, _axis_value, _read_report, _write_report, emit_report
 from .seeding import derive_u64
 from .train import (
     _TEXT_VARIANTS,
@@ -136,11 +135,6 @@ def _parse_override(expr: str) -> dict:
     for part in reversed(key.split(".")):
         patch = {part: patch}
     return patch
-
-
-def _number(value) -> float:
-    """A JSON number as a float, so that 4 and 4.0 make one config."""
-    return float(_of_type(int, float)(value))
 
 
 def _guidance_scales(value):
@@ -282,11 +276,6 @@ class _Staging:
         shutil.rmtree(aside)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(obj) + "\n")
-
-
 def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
     record = {
         "command": command,
@@ -298,7 +287,7 @@ def _write_provenance(path: str, command: str, cfg: dict, seed: int) -> str:
             "python": platform.python_version(),
         },
     }
-    _write_json(path, record)
+    _write_lines(path, [canonical_json(record)])
     return record["config_hash"]
 
 
@@ -384,9 +373,7 @@ def _features_from(manifest_path: str, encoder):
 def _cmd_generate(ns, staging: _Staging, cfg: dict, seed: int, _hash) -> str:
     manifest, records = _build_manifest(cfg, seed)
     write_manifest(manifest, staging.path("manifest.jsonl"))
-    with open(staging.path("captions.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(rec.text + "\n")
+    _write_lines(staging.path("captions.txt"), (rec.text for rec in records))
     return f"wrote {manifest.num_samples} samples to {staging.final}/manifest.jsonl"
 
 
@@ -421,7 +408,7 @@ def _eval_config(cfg: dict, name: str, seed: int):
 
 def _evaluate(ns, staging: _Staging, cfg_hash: str, features: tuple, manifests: tuple, score):
     """Read the inputs of probe or fewshot, score them, and write report.json
-    (with the config hash) and report.csv; returns the EvalReport.
+    (with the config hash) and report.csv; returns the report.
 
     The inputs are the feature files of the `features` flags, or else the
     manifests of the `manifests` flags, encoded by --checkpoint when it is
@@ -455,7 +442,7 @@ def _evaluate(ns, staging: _Staging, cfg_hash: str, features: tuple, manifests: 
     report = score(*inputs)
     report.dataset_id = dataset_id
     report.checkpoint_id = checkpoint_id
-    _write_json(staging.path("report.json"), dict(asdict(report), config_hash=cfg_hash))
+    _write_report(staging.path("report.json"), report, config_hash=cfg_hash)
     emit_report([report], "csv", staging.path("report.csv"), meta_comment=cfg_hash)
     return report
 
@@ -558,14 +545,6 @@ def _sweep_point(axis: str, raw_value: str, cfg: dict, seed: int):
     return cell, tcfg
 
 
-# the file suffix of each report format
-_SUFFIXES = {"csv": "csv", "table": "txt", "svg": "svg"}
-# a character that splits a CSV row, and one XML 1.0 forbids: a control character
-# other than tab, LF and CR, a surrogate, U+FFFE or U+FFFF
-_CSV_BREAK = re.compile('[,"\r\n]')
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-
-
 def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> str:
     values = [v.strip() for v in ns.values.split(",") if v.strip()]
     if not values:
@@ -608,8 +587,7 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
         )
         report.dataset_id = manifest.hash()
         report.checkpoint_id = digest.hexdigest()
-        payload = dict(asdict(report), axis=ns.axis, value=raw)
-        _write_json(staging.path(label, "report.json"), payload)
+        _write_report(staging.path(label, "report.json"), report, axis=ns.axis, value=raw)
         reports.append(report)
 
     # a named guidance group has no numeric axis value, so no plot
@@ -624,57 +602,10 @@ def _cmd_sweep(ns, staging: _Staging, cfg: dict, seed: int, cfg_hash: str) -> st
     return f"sweep over {ns.axis} done ({accs}), summary in {staging.final}"
 
 
-def _axis_value(value):
-    """A sweep axis value as a float, or "" (a blank cell) if it is no finite
-    number; a JSON boolean is none, as in every config."""
-    try:
-        number = float(_of_type(str, int, float)(value))
-    except (TypeError, ValueError):
-        return ""
-    return number if np.isfinite(number) else ""
-
-
-def _refuse(pattern: re.Pattern, text: str, what: str) -> None:
-    """A CliError if `text`, the value of `what`, holds a character `pattern` matches."""
-    if bad := pattern.search(text):
-        raise CliError(f"{what} {text!r} holds {bad.group()!r}, which a report cannot render")
-
-
-def _read_report(path: str) -> tuple[EvalReport, object]:
-    """The EvalReport in a report.json, and its sweep axis value (see _axis_value)."""
-    payload = _read_text(path, "object", "a report")
-    record = {"config": {}, "details": {}, "dataset_id": "", "checkpoint_id": "", **payload}
-    number = _of_type(int, float)
-    fields = {
-        "kind": _of_type(str),
-        "accuracy": number,
-        "ci95": number,
-        "count": _of_type(int),
-        "config": _of_type(dict),
-        "details": _of_type(dict),
-        "dataset_id": _of_type(str),
-        "checkpoint_id": _of_type(str),
-    }
-    args = {
-        name: _read_field(record, name, convert, path, "report")
-        for name, convert in fields.items()
-    }
-    for name in ("kind", "dataset_id", "checkpoint_id"):
-        _refuse(_CSV_BREAK, args[name], f"{path}: report field {name!r} value")
-    try:
-        report = EvalReport(**args)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    return report, _axis_value(payload.get("value"))
-
-
 def _cmd_report(ns, staging: _Staging, *_) -> str:
     paths = [p.strip() for p in ns.inputs.split(",") if p.strip()]
     if not paths:
         raise CliError("--inputs must list report JSON files")
-    _refuse(_CSV_BREAK, ns.axis or "", "--axis")
-    _refuse(_NOT_XML, ns.axis or "", "--axis")
-    _refuse(_NOT_XML, ns.title, "--title")
     reports, values = (list(column) for column in zip(*map(_read_report, paths)))
     if ns.values:
         values = [v.strip() for v in ns.values.split(",")]
@@ -688,7 +619,8 @@ def _cmd_report(ns, staging: _Staging, *_) -> str:
         reports, ns.format, staging.path(name),
         axis_name=ns.axis, axis_values=values, title=ns.title, meta_comment=cfg_hash,
     )
-    _write_json(staging.path("provenance.json"), {"command": "report", "config_hash": cfg_hash})
+    provenance = {"command": "report", "config_hash": cfg_hash}
+    _write_lines(staging.path("provenance.json"), [canonical_json(provenance)])
     return f"rendered {len(reports)} report(s) to {staging.final}/{name}"
 
 

@@ -11,6 +11,7 @@ No timestamps or environment-dependent values are stored.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -38,6 +39,13 @@ def canonical_json(obj) -> str:
     """Sorted-key, whitespace-free JSON: the one text form every artifact
     header, provenance record and config hash is built from."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write each string of `lines` (any iterable) to `path` as a UTF-8 line
+    ending in LF: the one writer of every text artifact."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def json_digest(obj) -> str:
@@ -69,7 +77,7 @@ def _sampler(value):
 
 @dataclass
 class DatasetManifest:
-    """Generated samples plus everything needed to regenerate them."""
+    """Generated samples (at least one) plus everything needed to regenerate them."""
 
     config: GeneratorConfig
     master_seed: int
@@ -84,6 +92,8 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         _sampler(self.sampler)
         n = self.features.shape[0]
+        if n == 0:
+            raise ValueError("the manifest holds no samples")
         for name in (f"{field}s" for field in _ROW_FIELDS):
             arr = getattr(self, name)
             if arr.shape != (n,):
@@ -127,12 +137,11 @@ def write_manifest(manifest: DatasetManifest, path: str) -> None:
         '{"caption_id":%d,"class_id":%d,"prompt_seed":%d,"latent_seed":%d,'
         '"guidance_scale":%.17g,"feature":['
         + ",".join(["%.17g"] * manifest.features.shape[1])
-        + "]}\n"
+        + "]}"
     )
     columns = zip(*(getattr(manifest, f"{field}s").tolist() for field in _ROW_FIELDS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row % (*cols, *x.tolist()) for cols, x in zip(columns, manifest.features))
+    rows = (row % (*cols, *x.tolist()) for cols, x in zip(columns, manifest.features))
+    _write_lines(path, itertools.chain([header], rows))
 
 
 def _read_text(path: str, parse: str = "lines", what: str = "the file"):
@@ -210,6 +219,12 @@ def _of_type(*types):
     return convert
 
 
+def _number(value) -> float:
+    """A JSON number as a float, so that 4 and 4.0 read alike; an integer
+    beyond float's range raises OverflowError."""
+    return float(_of_type(int, float)(value))
+
+
 def _read_rows(path: str, records: list, columns: dict, width: int | None = None):
     """The records [(line number, object)] of a manifest or a feature file as
     ({field: array} for each field -> dtype of `columns`, (N, width) float
@@ -267,13 +282,16 @@ def read_manifest(path: str) -> DatasetManifest:
         raise ValueError(f"{path}: expected {n} records, found {len(records)}")
 
     columns, features = _read_rows(path, records, _ROW_FIELDS, cfg.feature_dim)
-    manifest = DatasetManifest(
-        config=cfg,
-        master_seed=master_seed,
-        **{f"{field}s": column for field, column in columns.items()},
-        features=features,
-        sampler=sampler,
-    )
+    try:
+        manifest = DatasetManifest(
+            config=cfg,
+            master_seed=master_seed,
+            **{f"{field}s": column for field, column in columns.items()},
+            features=features,
+            sampler=sampler,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if header.get("config_hash") != _config_hash(cfg, master_seed):
         raise ValueError(f"{path}: config hash mismatch")
     if manifest.hash() != content_hash:

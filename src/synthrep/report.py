@@ -1,6 +1,7 @@
-"""Deterministic rendering of evaluation reports.
+"""The one writer and reader of report.json, and its deterministic renderings.
 
-CSV and plain-text tables list one row per report; the SVG renderer draws a
+report.json holds an EvalReport's fields and its command's extras. CSV and
+plain-text tables list one row per report; the SVG renderer draws a
 metric-versus-axis sweep with 95% error bars. The SVG is assembled by hand
 from fixed-precision strings so identical inputs produce byte-identical
 files (plotting libraries embed run-dependent metadata).
@@ -8,13 +9,18 @@ files (plotting libraries embed run-dependent metadata).
 
 from __future__ import annotations
 
+import re
+from dataclasses import asdict
+
 import numpy as np
 
 from .evaluate import EvalReport
+from .manifest import _number, _of_type, _read_field, _read_text, _write_lines, canonical_json
 
 __all__ = ["emit_report"]
 
-_FORMATS = ("table", "csv", "svg")
+# the file suffix of each format
+_SUFFIXES = {"table": "txt", "csv": "csv", "svg": "svg"}
 _COLUMNS = (
     "kind",
     "axis",
@@ -25,6 +31,58 @@ _COLUMNS = (
     "dataset_id",
     "checkpoint_id",
 )
+# a character that splits a CSV row, and one XML 1.0 forbids: a control character
+# other than tab, LF and CR, a surrogate, U+FFFE or U+FFFF
+_CSV_BREAK = re.compile('[,"\r\n]')
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _refuse(pattern: re.Pattern, text: str, what: str) -> None:
+    """A ValueError if `text`, the value of `what`, holds a character `pattern` matches."""
+    if bad := pattern.search(text):
+        raise ValueError(f"{what} {text!r} holds {bad.group()!r}, which a report cannot render")
+
+
+def _axis_value(value):
+    """A sweep axis value as a float, or "" (a blank cell) if it is no finite
+    number; a JSON boolean is none, as in every config."""
+    try:
+        number = float(_of_type(str, int, float)(value))
+    except (TypeError, ValueError, OverflowError):
+        return ""
+    return number if np.isfinite(number) else ""
+
+
+def _write_report(path: str, report: EvalReport, **extras) -> None:
+    """Write `report` as the report.json at `path`, with `extras` beside its fields."""
+    _write_lines(path, [canonical_json(dict(asdict(report), **extras))])
+
+
+def _read_report(path: str) -> tuple[EvalReport, object]:
+    """(EvalReport, sweep axis value) of a report.json; each error names the file."""
+    payload = _read_text(path, "object", "a report")
+    record = {"config": {}, "details": {}, "dataset_id": "", "checkpoint_id": "", **payload}
+    fields = {
+        "kind": _of_type(str),
+        "accuracy": _number,
+        "ci95": _number,
+        "count": _of_type(int),
+        "config": _of_type(dict),
+        "details": _of_type(dict),
+        "dataset_id": _of_type(str),
+        "checkpoint_id": _of_type(str),
+    }
+    args = {
+        name: _read_field(record, name, convert, path, "report")
+        for name, convert in fields.items()
+    }
+    for name in ("kind", "dataset_id", "checkpoint_id"):
+        _refuse(_CSV_BREAK, args[name], f"{path}: report field {name!r} value")
+    try:
+        report = EvalReport(**args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return report, _axis_value(payload.get("value"))
 
 
 def _num(v: float) -> str:
@@ -58,31 +116,19 @@ def _rows(reports, axis_name, axis_values):
     return rows
 
 
-def _write_csv(path, rows, meta_comment):
-    lines = []
-    if meta_comment:
-        lines.append(f"# config_hash={meta_comment}")
-    lines.append(",".join(_COLUMNS))
-    lines += [",".join(r) for r in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _csv_lines(rows):
+    return [",".join(_COLUMNS), *map(",".join, rows)]
 
 
-def _write_table(path, rows, meta_comment):
-    table = [list(_COLUMNS)] + [list(r) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(_COLUMNS))]
-    lines = []
-    if meta_comment:
-        lines.append(f"# config_hash={meta_comment}")
-    for i, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _table_lines(rows):
+    table = [_COLUMNS, *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return lines
 
 
-def _write_svg(path, reports, axis_name, axis_values, title, meta_comment):
+def _svg_lines(reports, axis_name, axis_values, title, meta_comment):
     if axis_values is None or any(v == "" for v in axis_values):
         raise ValueError("svg output requires numeric axis_values")
     pts = sorted(zip([float(v) for v in axis_values], reports), key=lambda t: t[0])
@@ -161,8 +207,7 @@ def _write_svg(path, reports, axis_name, axis_values, title, meta_comment):
             f'<circle cx="{_num(sx(x))}" cy="{_num(sy(y))}" r="4" fill="steelblue"/>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return parts
 
 
 def emit_report(
@@ -177,17 +222,23 @@ def emit_report(
     """Write reports as a table, CSV, or SVG sweep plot. Returns the path.
 
     meta_comment, when given, is embedded as a comment line (csv/table) or an
-    XML comment (svg) so rendered artifacts carry their config hash.
+    XML comment (svg) so rendered artifacts carry their config hash. An
+    axis_name holding a character that splits a CSV row or that XML 1.0
+    forbids, or a title holding the latter, is refused in every format,
+    named as the --axis or --title it comes from.
     """
     if not reports:
         raise ValueError("no reports to render")
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; choose from {_FORMATS}")
+    if fmt not in _SUFFIXES:
+        raise ValueError(f"unknown format {fmt!r}; choose from {tuple(_SUFFIXES)}")
+    _refuse(_CSV_BREAK, axis_name or "", "--axis")
+    _refuse(_NOT_XML, axis_name or "", "--axis")
+    _refuse(_NOT_XML, title, "--title")
     rows = _rows(reports, axis_name, axis_values)
-    if fmt == "csv":
-        _write_csv(path, rows, meta_comment)
-    elif fmt == "table":
-        _write_table(path, rows, meta_comment)
+    if fmt == "svg":
+        lines = _svg_lines(reports, axis_name or "x", axis_values, title, meta_comment)
     else:
-        _write_svg(path, reports, axis_name or "x", axis_values, title, meta_comment)
+        lines = [f"# config_hash={meta_comment}"] if meta_comment else []
+        lines += (_csv_lines if fmt == "csv" else _table_lines)(rows)
+    _write_lines(path, lines)
     return path

@@ -25,6 +25,7 @@ from .manifest import (
     DatasetManifest,
     _of_type,
     _read_field,
+    _write_lines,
     canonical_json,
     fmt_float,
     json_digest,
@@ -252,8 +253,6 @@ class Trainer:
         if cfg.uses_text and cfg.text_encoder.input_dim != manifest.config.feature_dim:
             raise ValueError("text encoder input_dim must match manifest feature_dim")
 
-        if manifest.num_samples == 0:
-            raise ValueError("the manifest holds no samples")
         # the caption index: each caption's rows in manifest order (the
         # argsort is stable), and the captions in first-appearance order
         order = np.argsort(manifest.caption_ids, kind="stable")
@@ -460,12 +459,12 @@ _METRIC_FIELDS = (
 
 def write_metrics(path: str, metrics: list[dict], header: dict | None = None) -> None:
     """Line-delimited metrics with exact float formatting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header is not None:
-            fh.write(canonical_json(header) + "\n")
-        for rec in metrics:
-            fields = ",".join(f'"{name}":{fmt(rec[name])}' for name, fmt in _METRIC_FIELDS)
-            fh.write("{" + fields + "}\n")
+    lines = [] if header is None else [canonical_json(header)]
+    lines += (
+        "{" + ",".join(f'"{name}":{fmt(rec[name])}' for name, fmt in _METRIC_FIELDS) + "}"
+        for rec in metrics
+    )
+    _write_lines(path, lines)
 
 
 # -- checkpoint container -------------------------------------------------------

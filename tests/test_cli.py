@@ -278,6 +278,33 @@ def test_train_on_manifest_without_config_is_json_error(workdir, generated, caps
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--data"), ("probe", "--data"), ("probe", "--eval-data"), ("fewshot", "--data")],
+)
+def test_manifest_without_samples_is_json_error_naming_the_file(
+    workdir, generated, capsys, tmp_path, command, flag
+):
+    # a header with no rows, hashed as write_manifest would hash it: the
+    # content hash of no rows covers only the config hash and the sampler
+    _, cfg = workdir
+    data = os.path.join(generated, "manifest.jsonl")
+    header = json.loads(open(data).readline())
+    content = hashlib.sha256((header["config_hash"] + header["sampler"]).encode("ascii"))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(
+        json.dumps({**header, "num_samples": 0, "content_hash": content.hexdigest()}) + "\n"
+    )
+    inputs = {"--data": data, "--eval-data": data} if command == "probe" else {"--data": data}
+    inputs[flag] = str(empty)
+    out = str(tmp_path / "never")
+    capsys.readouterr()
+    argv = [command, "--config", cfg, *(arg for item in inputs.items() for arg in item)]
+    assert main([*argv, "--out", out]) == 1
+    assert _single_json_error(capsys, command) == f"{empty}: the manifest holds no samples"
+    assert not os.path.exists(out)
+
+
 def test_train_on_edited_manifest_is_json_error(workdir, generated, capsys, tmp_path):
     root, cfg = workdir
     lines = open(os.path.join(generated, "manifest.jsonl")).read().splitlines()
@@ -1101,6 +1128,8 @@ def test_report_refuses_config_flags(capsys, tmp_path, flags):
          "ci95 must be finite and >= 0"),
         ({"kind": "fewshot", "accuracy": 0.5, "ci95": 0.1, "count": 0}, "count must be >= 1"),
         ({"kind": "fewshot", "accuracy": 0.5, "ci95": 0.1, "count": -5}, "count must be >= 1"),
+        ({"kind": "fewshot", "accuracy": 0.5, "ci95": 10**400, "count": 4},
+         "report field 'ci95' is invalid"),
     ],
 )
 def test_report_with_bad_payload_is_json_error(capsys, tmp_path, payload, message):
@@ -1189,7 +1218,14 @@ def test_fewshot_command(workdir, generated):
     assert rep["config"]["ways"] == 2
 
 
-def test_sweep_and_report(workdir):
+def _data_rows(path):
+    """The lines of a rendered csv after its config hash comment."""
+    lines = open(path).read().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    return lines[1:]
+
+
+def test_sweep_and_report(workdir, generated, eval_generated):
     root, cfg = workdir
     out = str(root / "sweep_m")
     code = main(
@@ -1221,6 +1257,25 @@ def test_sweep_and_report(workdir):
     assert code == 0
     text = open(os.path.join(rep_out, "report.csv")).read()
     assert "linear_probe" in text
+    # the reader reads what the writer wrote: a render of the cells is the
+    # sweep's own summary, and a render of a probe's report.json its report.csv
+    summary = _data_rows(os.path.join(out, "summary.csv"))
+    assert _data_rows(os.path.join(rep_out, "report.csv")) == summary
+    assert [row.split(",")[1:3] for row in summary[1:]] == [["m", "1"], ["m", "2"]]
+    probe_out = str(root / "sweep_probe")
+    assert main(
+        ["probe", "--config", cfg, "--seed", "5", "--out", probe_out,
+         "--data", os.path.join(generated, "manifest.jsonl"),
+         "--eval-data", os.path.join(eval_generated, "manifest.jsonl")]
+    ) == 0
+    probe_rep = str(root / "probe_rendered")
+    assert main(
+        ["report", "--inputs", os.path.join(probe_out, "report.json"), "--format", "csv",
+         "--out", probe_rep]
+    ) == 0
+    rendered = _data_rows(os.path.join(probe_rep, "report.csv"))
+    assert rendered == _data_rows(os.path.join(probe_out, "report.csv"))
+    assert len(rendered) == 2
 
 
 def test_sweep_w_token_group(workdir):

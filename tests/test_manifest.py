@@ -46,6 +46,22 @@ def test_write_read_round_trip_values(tmp_path):
     assert back.hash() == man.hash()
 
 
+def test_manifest_without_samples_is_refused_at_construction():
+    # so write_manifest cannot write one and read_manifest cannot return one
+    none = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="^the manifest holds no samples$"):
+        DatasetManifest(
+            config=GeneratorConfig(feature_dim=4, num_classes=3, ddim_steps=5),
+            master_seed=0,
+            caption_ids=none,
+            class_ids=none,
+            prompt_seeds=none.astype(np.uint64),
+            latent_seeds=none.astype(np.uint64),
+            guidance_scales=np.zeros(0),
+            features=np.zeros((0, 4)),
+        )
+
+
 def test_write_is_byte_deterministic(tmp_path):
     man = make_manifest()
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synthrep.evaluate import EvalReport
-from synthrep.report import emit_report
+from synthrep.report import _axis_value, _read_report, _write_report, emit_report
 
 
 def make_report(acc, ci=0.02, kind="linear_probe"):
@@ -120,3 +122,75 @@ def test_emit_report_validation(tmp_path):
         emit_report(
             [make_report(0.5)], "csv", str(tmp_path / "e.csv"), axis_values=[1.0, 2.0]
         )
+
+
+# -- report.json round trip -------------------------------------------------------
+
+# derandomised with a fixed example count, so every run checks the same files
+_PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+# what the reader accepts in a string cell: no character that splits a CSV row
+_CELL = st.text(st.characters(exclude_characters=',"\r\n'), max_size=10)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _payloads():
+    """(EvalReport, extras) as probe, fewshot and a sweep cell write them."""
+    report = st.builds(
+        EvalReport,
+        kind=_CELL,
+        accuracy=st.floats(0.0, 1.0),
+        ci95=st.floats(0.0, allow_infinity=False),
+        count=st.integers(min_value=1),
+        config=st.dictionaries(st.text(max_size=8), _JSON, max_size=4),
+        details=st.dictionaries(st.text(max_size=8), _JSON, max_size=4),
+        dataset_id=_CELL,
+        checkpoint_id=_CELL,
+    )
+    probe = st.fixed_dictionaries({"config_hash": st.text("0123456789abcdef", max_size=64)})
+    cell = st.fixed_dictionaries(
+        {"axis": st.sampled_from(["w", "m", "l", "epochs"]),
+         "value": st.text(max_size=6) | st.integers() | st.floats() | st.booleans()}
+    )
+    return st.tuples(report, probe | st.just({}) | cell)
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("report_json")
+
+
+@_PROFILE
+@given(payload=_payloads())
+# a stored axis value beyond float's range is no number, not an OverflowError
+@example(payload=(make_report(0.5), {"axis": "w", "value": 10**400}))
+def test_report_json_write_read_write_is_byte_identical(report_dir, payload):
+    report, extras = payload
+    first, second = report_dir / "first.json", report_dir / "second.json"
+    _write_report(str(first), report, **extras)
+    back, value = _read_report(str(first))
+    assert back == report
+    assert value == _axis_value(extras.get("value"))
+    _write_report(str(second), back, **extras)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@_PROFILE
+@given(payload=_payloads())
+def test_truncated_report_json_reads_the_same_or_names_the_file(report_dir, payload):
+    report, extras = payload
+    full, cut = report_dir / "full.json", report_dir / "cut.json"
+    _write_report(str(full), report, **extras)
+    data = full.read_bytes()
+    expected = _read_report(str(full))
+    for offset in range(len(data)):
+        cut.write_bytes(data[:offset])
+        try:
+            assert _read_report(str(cut)) == expected
+        except ValueError as exc:
+            assert str(exc).startswith(f"{cut}: ")

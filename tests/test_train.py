@@ -308,23 +308,6 @@ def test_caption_index_keeps_first_appearance_order():
             np.testing.assert_array_equal(row, mean)
 
 
-def test_trainer_refuses_a_manifest_without_samples():
-    # a library caller may build one; its caption index would be empty
-    none = np.zeros(0, dtype=np.int64)
-    man = DatasetManifest(
-        config=GeneratorConfig(feature_dim=4, num_classes=3, ddim_steps=5),
-        master_seed=0,
-        caption_ids=none,
-        class_ids=none,
-        prompt_seeds=none.astype(np.uint64),
-        latent_seeds=none.astype(np.uint64),
-        guidance_scales=np.zeros(0),
-        features=np.zeros((0, 4)),
-    )
-    with pytest.raises(ValueError, match="^the manifest holds no samples$"):
-        Trainer(man, tiny_cfg())
-
-
 def test_text_variants_train_without_error():
     man = toy_manifest()
     for variant, spec in (
